@@ -1,9 +1,11 @@
 """Speculative decoding from LRU n-gram cache tables.
 
-Draft trees are grown by recursive cache queries, verified in parallel with
-an ancestor-only attention mask against a deterministic greedy verifier, and
-the dynamic table is refreshed with a sliding window over accepted tokens.
-Output is always token-identical to plain greedy decoding.
+Draft trees are grown by recursive cache queries and accepted along the
+greedy path of a deterministic verifier, and the dynamic table is refreshed
+with a sliding window over accepted tokens.  The stand-in verifiers are
+sequential, so acceptance walks only the greedy path; ``attention_mask`` is
+the ancestor-only mask a batched model pass over ``pending ++ nodes`` would
+use.  Output is always token-identical to plain greedy decoding.
 """
 
 from .cache_table import (
@@ -15,7 +17,6 @@ from .cache_table import (
     Leader,
     LruCacheTable,
     TokenId,
-    max_retained_tokens,
 )
 from .decode_loop import (
     DecodeState,
@@ -24,22 +25,20 @@ from .decode_loop import (
     RunMetrics,
     StepMetrics,
     Verifier,
+    accept,
     decode_step,
     greedy_decode,
     init_from_prompt,
     reset,
     run_decode,
     update_tables,
-    verify_tree,
 )
 from .draft_tree import (
     DraftConfig,
     DraftNode,
     DraftTree,
     attention_mask,
-    branches,
     build_draft_tree,
-    linearize,
     longest_branch_len,
 )
 from .frozen_table import (
@@ -71,19 +70,16 @@ __all__ = [
     "StepMetrics",
     "TokenId",
     "Verifier",
+    "accept",
     "attention_mask",
-    "branches",
     "build_draft_tree",
     "build_frozen",
     "count_ngrams",
     "decode_step",
     "greedy_decode",
     "init_from_prompt",
-    "linearize",
     "longest_branch_len",
-    "max_retained_tokens",
     "reset",
     "run_decode",
     "update_tables",
-    "verify_tree",
 ]

@@ -60,16 +60,6 @@ class EvictedFollower:
 Eviction = EvictedLeader | EvictedFollower
 
 
-def max_retained_tokens(config: CacheTableConfig) -> int:
-    """Upper bound on tokens a fully populated table retains.
-
-    Each resident leader stores ``ll`` tokens plus up to ``fc`` followers of
-    ``fl`` tokens each, so the bound is ``lc * (ll + fc * fl)``.  Python
-    integers are unbounded, so the arithmetic cannot overflow.
-    """
-    return config.lc * (config.ll + config.fc * config.fl)
-
-
 class LruCacheTable:
     """Leader -> followers map with two-level LRU eviction.
 

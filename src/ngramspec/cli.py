@@ -504,14 +504,12 @@ def _load_tables_and_tasks(
             )
         if vocab is not None:
             sidecar = _vocab_sidecar(table_path)
-            if sidecar.exists():
-                vocab = Vocab.load(sidecar)
-            else:
-                print(
-                    f"warning: no vocabulary sidecar at {sidecar}; "
-                    "token ids will not match the table",
-                    file=sys.stderr,
+            if not sidecar.exists():
+                raise ValueError(
+                    f"no vocabulary sidecar at {sidecar}; whitespace token ids "
+                    "would not match the table"
                 )
+            vocab = Vocab.load(sidecar)
     elif corpus_paths:
         corpus_texts = read_documents(corpus_paths, doc_mode)
         frozen = _build_frozen_from_texts(corpus_texts, cfg.table_config(), cfg.tokenizer, vocab)
@@ -708,6 +706,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = cmd_bench(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
             _emit(report.render(args.format or "text"), args.out)
         elif args.command == "sweep":
+            if args.table is not None:
+                raise ValueError(
+                    "sweep does not take --table: it rebuilds the frozen table "
+                    "for every (ll, fl) cell from --corpus"
+                )
             ll_values = parse_int_list(args.ll)
             fl_values = parse_int_list(args.fl)
             cfg = _config_from_args(args, ll=ll_values[0], fl=fl_values[0])

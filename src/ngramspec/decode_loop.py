@@ -1,15 +1,17 @@
-"""The speculative decoding loop: draft, verify, accept, update.
+"""The speculative decoding loop: draft, accept, update.
 
-Each step drafts a tree from the cache tables, asks the verifier for its
-greedy next token along every node path, accepts the tree path that matches
-the greedy walk plus one bonus token, and then slides an n-gram window over
-the new tokens to update the dynamic table.  Output is token-identical to
-plain one-by-one greedy decoding with the same verifier; speculation only
-changes how many steps that takes.
+Each step drafts a tree from the cache tables, walks it along the verifier's
+greedy path to accept the longest matching branch plus one bonus token, and
+then slides an n-gram window over the new tokens to update the dynamic table.
+Output is token-identical to plain one-by-one greedy decoding with the same
+verifier; speculation only changes how many steps that takes.
 
 Verifiers are deterministic next-token oracles standing in for a language
 model forward pass: a replay oracle for exact-continuation tests and a
-k-gram frequency model for desk-scale benchmarks.
+k-gram frequency model for desk-scale benchmarks.  They are sequential, so
+acceptance asks them only for the tokens on the greedy path (accepted + 1
+calls per step).  A batched model pass would instead score every node at
+once over ``pending ++ nodes`` with ``draft_tree.attention_mask``.
 """
 
 from __future__ import annotations
@@ -166,80 +168,39 @@ class DecodeState:
         )
 
 
-def _children(tree: DraftTree) -> tuple[list[int], list[list[int]]]:
-    roots: list[int] = []
-    children: list[list[int]] = [[] for _ in tree.nodes]
-    for i, node in enumerate(tree.nodes):
-        if node.parent is None:
-            roots.append(i)
-        else:
-            children[node.parent].append(i)
-    return roots, children
-
-
-def verify_tree(
-    tree: DraftTree,
-    predictions: Sequence[int],
-    anchor_prediction: int,
+def accept(
+    tree: DraftTree, committed: Sequence[int], verifier: Verifier
 ) -> tuple[list[int], int]:
     """Greedy acceptance walk over a drafted tree.
 
-    ``predictions[i]`` must be the verifier's greedy next token given node
-    i's full ancestor path; ``anchor_prediction`` the greedy next token of
-    the bare context.  Starting at the anchor, descend into the child whose
-    token equals the current prediction (earliest-inserted child on duplicate
-    first tokens) until no child matches.  Returns the accepted node indices
-    and the bonus token, i.e. the prediction at the last accepted node (the
-    anchor prediction if nothing matched).
+    Starting at the anchor, ask the verifier for its greedy next token given
+    ``committed`` plus the path accepted so far, and descend into the
+    earliest-inserted child carrying that token, until no child matches.
+    Returns the accepted node indices and the bonus token (the verifier's
+    token after the last accepted node).  Costs accepted + 1 verifier calls.
     """
-    if len(predictions) != len(tree.nodes):
-        raise ValueError(
-            f"got {len(predictions)} predictions for {len(tree.nodes)} nodes"
-        )
-    roots, children = _children(tree)
-    accepted: list[int] = []
-    candidates = roots
-    expect = anchor_prediction
-    while True:
-        match = next((i for i in candidates if tree.nodes[i].token == expect), None)
-        if match is None:
-            return accepted, expect
-        accepted.append(match)
-        expect = predictions[match]
-        candidates = children[match]
-
-
-def _node_predictions(
-    tree: DraftTree, committed: Sequence[int], verifier: Verifier
-) -> list[int]:
-    """Verifier's greedy next token per node, fed each node's ancestor path.
-
-    Depth-first with a shared prefix buffer, so evaluating a node costs one
-    ``greedy_next`` call plus O(1) bookkeeping.
-    """
-    roots, children = _children(tree)
-    predictions = [0] * len(tree.nodes)
+    first_child: dict[tuple[int | None, int], int] = {}
+    for i, node in enumerate(tree.nodes):
+        first_child.setdefault((node.parent, node.token), i)
     prefix = list(committed)
-    stack: list[tuple[int, bool]] = [(i, False) for i in reversed(roots)]
-    while stack:
-        i, done = stack.pop()
-        if done:
-            prefix.pop()
-            continue
-        prefix.append(tree.nodes[i].token)
-        predictions[i] = verifier.greedy_next(prefix)
-        stack.append((i, True))
-        stack.extend((c, False) for c in reversed(children[i]))
-    return predictions
+    accepted: list[int] = []
+    at: int | None = None
+    while True:
+        expect = verifier.greedy_next(prefix)
+        at = first_child.get((at, expect))
+        if at is None:
+            return accepted, expect
+        accepted.append(at)
+        prefix.append(expect)
 
 
 def update_tables(state: DecodeState, window_source: Sequence[int]) -> None:
     """Slide an ``ll + fl`` window over ``window_source`` one token at a time
     and insert each (leader, follower) pair into the dynamic table.
 
-    The source is the last ``ll + fl - 1`` tokens preceding an emission plus
-    the newly emitted tokens, so each new token terminates exactly one full
-    window.  The frozen table is never written.
+    The source is a whole prompt, or the last ``ll + fl - 1`` tokens
+    preceding an emission plus the newly emitted tokens, so each new token
+    terminates exactly one full window.  The frozen table is never written.
     """
     if not state.dynamic_enabled:
         return
@@ -255,13 +216,7 @@ def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
     populate the dynamic table by sliding the n-gram window over the prompt."""
     state.committed = list(prompt)
     state.pending_len = min(1, len(prompt))
-    if not state.dynamic_enabled:
-        return
-    ll, fl = state.table_config.ll, state.table_config.fl
-    width = ll + fl
-    tokens = tuple(prompt)
-    for i in range(len(tokens) - width + 1):
-        state.dynamic.insert(tokens[i : i + ll], tokens[i + ll : i + width])
+    update_tables(state, prompt)
 
 
 def reset(state: DecodeState) -> None:
@@ -276,10 +231,9 @@ def reset(state: DecodeState) -> None:
 def decode_step(
     state: DecodeState,
     verifier: Verifier,
-    dcfg: DraftConfig,
     stop_at_eos: bool = True,
 ) -> StepMetrics:
-    """One draft / verify / accept / update cycle.
+    """One draft / accept / update cycle.
 
     Appends the accepted path plus the bonus token to the committed sequence
     (truncating at the first EOS when ``stop_at_eos``), marks the new tokens
@@ -287,11 +241,14 @@ def decode_step(
     """
     ll, fl = state.table_config.ll, state.table_config.fl
     tree = build_draft_tree(
-        state.committed, state.pending_len, state.dynamic, state.frozen, dcfg, state.table_config
+        state.committed,
+        state.pending_len,
+        state.dynamic,
+        state.frozen,
+        state.draft_config,
+        state.table_config,
     )
-    anchor_prediction = verifier.greedy_next(state.committed)
-    predictions = _node_predictions(tree, state.committed, verifier)
-    accepted, bonus = verify_tree(tree, predictions, anchor_prediction)
+    accepted, bonus = accept(tree, state.committed, verifier)
 
     emitted = [tree.nodes[i].token for i in accepted]
     emitted.append(bonus)
@@ -334,7 +291,7 @@ def run_decode(
     eos = verifier.eos_token
     produced = 0
     while produced < max_new_tokens:
-        step = decode_step(state, verifier, state.draft_config, stop_at_eos=stop_at_eos)
+        step = decode_step(state, verifier, stop_at_eos=stop_at_eos)
         produced += step.emitted
         if stop_at_eos and eos is not None and state.committed[-1] == eos:
             break

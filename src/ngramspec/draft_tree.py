@@ -155,7 +155,9 @@ def attention_mask(tree: DraftTree) -> np.ndarray:
 
     Entry [i, j] is True iff j == i or j is a strict ancestor of i.  Pending
     tokens form a chain every node's path passes through, so the matrix is
-    lower-triangular in insertion order.
+    lower-triangular in insertion order.  This is the mask a batched model
+    pass would use to score every node at once; the sequential stand-in
+    verifiers of ``decode_loop`` walk only the greedy path and never need it.
     """
     p = len(tree.pending)
     n = p + len(tree.nodes)
@@ -172,40 +174,6 @@ def attention_mask(tree: DraftTree) -> np.ndarray:
             mask[i, :] = mask[p - 1, :]
         mask[i, i] = True
     return mask
-
-
-def linearize(tree: DraftTree) -> tuple[list[int], list[int | None]]:
-    """Flatten (pending ++ nodes) into parallel token and parent-index lists.
-
-    Pending tokens chain to their predecessor; a node whose parent is the
-    anchor points at the last pending token (or ``None`` with no pending).
-    """
-    p = len(tree.pending)
-    tokens = list(tree.pending) + [node.token for node in tree.nodes]
-    parents: list[int | None] = [i - 1 if i else None for i in range(p)]
-    for node in tree.nodes:
-        if node.parent is not None:
-            parents.append(p + node.parent)
-        else:
-            parents.append(p - 1 if p else None)
-    return tokens, parents
-
-
-def branches(tree: DraftTree) -> list[list[int]]:
-    """Root-to-leaf token paths, one per leaf, in leaf insertion order."""
-    with_children = {node.parent for node in tree.nodes if node.parent is not None}
-    paths: list[list[int]] = []
-    for i in range(len(tree.nodes)):
-        if i in with_children:
-            continue
-        path = []
-        at: int | None = i
-        while at is not None:
-            path.append(tree.nodes[at].token)
-            at = tree.nodes[at].parent
-        path.reverse()
-        paths.append(path)
-    return paths
 
 
 def longest_branch_len(tree: DraftTree) -> int:

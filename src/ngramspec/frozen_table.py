@@ -58,16 +58,6 @@ class NGramCounts:
             by_leader = self.followers[leader] = Counter()
         by_leader[follower] += 1
 
-    def merge(self, other: "NGramCounts") -> None:
-        """Fold another shard's counts into this one (commutative addition)."""
-        self.leaders.update(other.leaders)
-        for leader, counter in other.followers.items():
-            mine = self.followers.get(leader)
-            if mine is None:
-                self.followers[leader] = Counter(counter)
-            else:
-                mine.update(counter)
-
 
 def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NGramCounts:
     """Count every in-document window of ``ll + fl`` consecutive tokens.

@@ -13,7 +13,6 @@ from ngramspec.cache_table import (
     EvictedFollower,
     EvictedLeader,
     LruCacheTable,
-    max_retained_tokens,
 )
 
 from oracles import RefLruTable
@@ -141,19 +140,6 @@ class TestPeek:
         real.insert(L(3), L(30))
         ref.insert(L(3), L(30))
         assert real.snapshot() == ref.state()
-
-
-class TestMaxRetainedTokens:
-    @pytest.mark.parametrize(
-        "cfg,expected",
-        [
-            ((1, 3, 2**20, 128), 403_701_760),
-            ((1, 1, 1, 1), 2),
-            ((2, 2, 10, 3), 80),
-        ],
-    )
-    def test_bound(self, cfg, expected):
-        assert max_retained_tokens(CacheTableConfig(*cfg)) == expected
 
 
 ops_strategy = st.lists(

@@ -357,6 +357,36 @@ class TestMain:
         out = capsys.readouterr().out
         assert "dual" in out and "dynamic" in out and "frozen" in out
 
+    def test_sweep_with_table_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        code = main(
+            ["sweep", "--prompts", str(prompts), "--table", str(table), "--max-new-tokens", "5"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--corpus" in captured.err
+        assert captured.out.strip() == f"wrote {table}"  # no report was printed
+
+    def test_whitespace_table_without_sidecar_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        (tmp_path / "t.cbft.vocab.json").unlink()
+        for command in ("bench", "ablate"):
+            code = main(
+                [command, "--prompts", str(prompts), "--table", str(table), "--max-new-tokens", "5"]
+            )
+            assert code == 2
+            assert "vocabulary sidecar" in capsys.readouterr().err
+
 
 def test_bench_report_render_dispatch():
     report = BenchReport(config={"x": 1}, mode="dual")

@@ -1,4 +1,4 @@
-"""Verification walk, step/table updates, and end-to-end decode properties."""
+"""Acceptance walk, step/table updates, and end-to-end decode properties."""
 
 from __future__ import annotations
 
@@ -13,13 +13,13 @@ from ngramspec.decode_loop import (
     DecodeState,
     KGramVerifier,
     ReplayOracle,
+    accept,
     decode_step,
     greedy_decode,
     init_from_prompt,
     reset,
     run_decode,
     update_tables,
-    verify_tree,
 )
 from ngramspec.draft_tree import DraftConfig, build_draft_tree
 from ngramspec.frozen_table import build_frozen, count_ngrams
@@ -45,33 +45,53 @@ def fox_tree():
     )
 
 
+class PathStub:
+    """Greedy oracle keyed on the tokens past ``committed``: the path drafted
+    so far maps to its next token, and any other path predicts 99."""
+
+    def __init__(self, committed, next_token):
+        self.committed_len = len(committed)
+        self.next_token = next_token
+
+    def greedy_next(self, prefix):
+        return self.next_token.get(tuple(prefix[self.committed_len :]), 99)
+
+
+FOX_CONTEXT = [AT, DAWN, THE, FOX]
+
+
 class TestVerifyTree:
+    """The lazy acceptance walk, ``accept``."""
+
     def test_no_child_matches(self):
-        tree = fox_tree()
-        accepted, bonus = verify_tree(tree, [99] * len(tree.nodes), anchor_prediction=77)
+        stub = PathStub(FOX_CONTEXT, {(): 77})
+        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
         assert accepted == []
         assert bonus == 77  # the step still emits exactly one token
 
     def test_full_deepest_branch(self):
-        tree = fox_tree()
-        predictions = [99] * len(tree.nodes)
-        predictions[4] = STILL
-        predictions[5] = YOU
-        predictions[6] = COULD
-        predictions[7] = 55  # continuation after the leaf
-        accepted, bonus = verify_tree(tree, predictions, anchor_prediction=SAT)
+        stub = PathStub(
+            FOX_CONTEXT,
+            {
+                (): SAT,
+                (SAT,): STILL,
+                (SAT, STILL): YOU,
+                (SAT, STILL, YOU): COULD,
+                (SAT, STILL, YOU, COULD): 55,  # continuation after the leaf
+            },
+        )
+        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
         assert accepted == [4, 5, 6, 7]
         assert bonus == 55
         # Emits one plus the longest branch length.
         assert len(accepted) + 1 == 5
 
     def test_divergence_keeps_branch_except_last_token(self):
-        tree = fox_tree()
-        predictions = [99] * len(tree.nodes)
-        predictions[4] = STILL
-        predictions[5] = YOU
-        predictions[6] = 42  # diverges where the draft says COULD
-        accepted, bonus = verify_tree(tree, predictions, anchor_prediction=SAT)
+        stub = PathStub(
+            FOX_CONTEXT,
+            {(): SAT, (SAT,): STILL, (SAT, STILL): YOU, (SAT, STILL, YOU): 42},
+        )  # diverges where the draft says COULD
+        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
         assert accepted == [4, 5, 6]
         assert bonus == 42
 
@@ -82,15 +102,10 @@ class TestVerifyTree:
         table.insert((0,), (1, 2))  # most recent, so earliest-inserted node
         tree = build_draft_tree([0], 0, table, None, DraftConfig(8, 0), tcfg)
         assert [n.token for n in tree.nodes] == [1, 2, 1, 3]
-        predictions = [2, 9, 3, 9]
-        accepted, bonus = verify_tree(tree, predictions, anchor_prediction=1)
+        stub = PathStub([0], {(): 1, (1,): 2, (1, 2): 9})
+        accepted, bonus = accept(tree, [0], stub)
         assert accepted == [0, 1]
         assert bonus == 9
-
-    def test_prediction_length_mismatch_rejected(self):
-        tree = fox_tree()
-        with pytest.raises(ValueError):
-            verify_tree(tree, [1, 2, 3], anchor_prediction=0)
 
 
 def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic_enabled=True):
@@ -196,7 +211,7 @@ class TestDecodeStep:
         state = fresh_state()
         oracle = ReplayOracle(3, [7, 8, 9], EOS)
         init_from_prompt(state, [1, 2, 3])
-        metrics = decode_step(state, oracle, state.draft_config)
+        metrics = decode_step(state, oracle)
         assert metrics.emitted == 1 and metrics.accepted == 0 and metrics.drafted == 0
         assert state.committed == [1, 2, 3, 7]
         assert state.pending_len == 1
@@ -213,7 +228,7 @@ class TestDecodeStep:
         sim.init_from_prompt(prompt)
         for _ in range(4):
             before = len(state.committed)
-            metrics = decode_step(state, oracle, state.draft_config)
+            metrics = decode_step(state, oracle)
             engine_emitted = state.committed[before:]
             assert engine_emitted == sim.step(oracle)
             assert metrics.emitted == len(engine_emitted)
@@ -337,9 +352,45 @@ def test_step_oracle_equivalence_randomized(seed):
     sim.init_from_prompt(prompt)
     for _ in range(rng.randint(1, 8)):
         before = len(state.committed)
-        decode_step(state, verifier, state.draft_config)
+        decode_step(state, verifier)
         assert state.committed[before:] == sim.step(verifier)
         assert state.dynamic.snapshot() == sim.dynamic.state()
+
+
+class CountingVerifier:
+    """Passes ``greedy_next`` through to ``inner`` and counts the calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.eos_token = inner.eos_token
+        self.vocab_size = inner.vocab_size
+        self.calls = 0
+
+    def greedy_next(self, prefix):
+        self.calls += 1
+        return self.inner.greedy_next(prefix)
+
+
+def test_verifier_calls_are_accepted_plus_one():
+    rejected = 0
+    for seed in range(20):
+        rng = random.Random(20_000 + seed)
+        docs = random_docs(rng)
+        verifier = CountingVerifier(KGramVerifier(rng.randint(1, 3), docs))
+        ll, fl, lc, fc, tdl, crt = random_configs(rng)
+        frozen = None
+        if rng.random() < 0.5:
+            tcfg = CacheTableConfig(ll, fl, lc, fc)
+            frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
+        state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
+        init_from_prompt(state, docs[0][: rng.randint(1, len(docs[0]))])
+        for _ in range(rng.randint(1, 8)):
+            before = verifier.calls
+            step = decode_step(state, verifier)
+            assert verifier.calls - before == step.accepted + 1
+            rejected += step.drafted - step.accepted
+    # Drafted nodes off the greedy path were never handed to the verifier.
+    assert rejected > 0
 
 
 @given(

@@ -1,4 +1,4 @@
-"""Draft tree construction, budget/reserve rules, masks, and linearization."""
+"""Draft tree construction, budget/reserve rules, and the attention mask."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from ngramspec.draft_tree import (
     DraftNode,
     DraftTree,
     attention_mask,
-    branches,
     build_draft_tree,
-    linearize,
     longest_branch_len,
 )
 from ngramspec.frozen_table import build_frozen, count_ngrams
@@ -158,56 +156,6 @@ class TestMask:
             assert not mask[row, p + 0] and not mask[row, p + 1]  # "ran fast"
             assert not mask[row, p + 2] and not mask[row, p + 3]  # "hid deep"
         assert np.array_equal(mask, np.tril(mask))
-
-
-class TestLinearize:
-    def test_empty(self):
-        assert linearize(DraftTree(pending=(), nodes=[])) == ([], [])
-
-    def test_pending_then_chain(self):
-        tree = DraftTree(pending=(7,), nodes=[DraftNode(8, None, 1)])
-        assert linearize(tree) == ([7, 8], [None, 0])
-
-    def test_round_trip_rebuild(self):
-        table, tcfg = fox_table()
-        tree = build_draft_tree(
-            [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4), tcfg
-        )
-        tokens, parents = linearize(tree)
-        assert len(tokens) == 8
-        rebuilt = [
-            DraftNode(t, p, 1 if p is None else 0) for t, p in zip(tokens, parents)
-        ]
-        # Recompute depths from parent links and compare with the original.
-        depths: list[int] = []
-        for node in rebuilt:
-            depths.append(1 if node.parent is None else depths[node.parent] + 1)
-        assert [(t, p) for t, p, _ in tree.nodes] == [
-            (n.token, n.parent) for n in rebuilt
-        ]
-        assert [n.depth for n in tree.nodes] == depths
-
-
-class TestBranches:
-    def test_empty(self):
-        assert branches(DraftTree(pending=(), nodes=[])) == []
-
-    def test_single_chain(self):
-        tree = DraftTree(
-            pending=(), nodes=[DraftNode(1, None, 1), DraftNode(2, 0, 2)]
-        )
-        assert branches(tree) == [[1, 2]]
-
-    def test_example_tree_paths(self):
-        table, tcfg = fox_table()
-        tree = build_draft_tree(
-            [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4), tcfg
-        )
-        paths = branches(tree)
-        assert len(paths) == 3
-        assert max(len(p) for p in paths) == 4
-        assert [RAN, FAST] in paths and [HID, DEEP] in paths
-        assert [SAT, STILL, YOU, COULD] in paths
 
 
 def random_setup(rng: random.Random):

@@ -41,17 +41,6 @@ class TestCountNgrams:
         counts = count_ngrams([[1], [2]], tcfg)
         assert not counts.leaders
 
-    def test_merge_adds_counts(self):
-        tcfg = CacheTableConfig(1, 1, 8, 8)
-        a = count_ngrams([[1, 2, 1, 2]], tcfg)
-        b = count_ngrams([[1, 2], [2, 3]], tcfg)
-        merged = NGramCounts()
-        merged.merge(a)
-        merged.merge(b)
-        both = count_ngrams([[1, 2, 1, 2], [1, 2], [2, 3]], tcfg)
-        assert merged.leaders == both.leaders
-        assert merged.followers == both.followers
-
 
 class TestBuildFrozen:
     def test_top_one_follower(self):
