@@ -39,7 +39,6 @@ from .draft_tree import (
     DraftTree,
     attention_mask,
     build_draft_tree,
-    longest_branch_len,
 )
 from .frozen_table import (
     FrozenTable,
@@ -78,7 +77,6 @@ __all__ = [
     "decode_step",
     "greedy_decode",
     "init_from_prompt",
-    "longest_branch_len",
     "reset",
     "run_decode",
     "update_tables",

@@ -84,10 +84,6 @@ class LruCacheTable:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def leader_count(self) -> int:
-        """Number of resident leaders."""
-        return len(self._entries)
-
     def query(self, leader: Leader) -> list[Follower]:
         """Return the leader's followers, most recently inserted first.
 
@@ -151,7 +147,3 @@ class LruCacheTable:
         """Full observable state without mutation: leaders in LRU-to-MRU
         order, each with its followers most-recently-inserted first."""
         return [(leader, list(reversed(fs))) for leader, fs in self._entries.items()]
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        self._entries.clear()

@@ -491,6 +491,8 @@ def _load_tables_and_tasks(
     doc_mode: str,
 ) -> tuple[list[list[int]], FrozenTable | None]:
     """Shared bench/ablate input wiring: frozen table + tokenized tasks."""
+    if table_path is not None and corpus_paths:
+        raise ValueError("--table and --corpus each give the frozen table; pass only one")
     vocab: Vocab | None = None
     frozen: FrozenTable | None = None
     if cfg.tokenizer == "whitespace":

@@ -20,17 +20,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable
-from .draft_tree import (
-    DraftConfig,
-    DraftTree,
-    build_draft_tree,
-    longest_branch_len,
-)
+from .draft_tree import DraftConfig, DraftTree, build_draft_tree
 from .frozen_table import FrozenTable
 
 
 class Verifier(Protocol):
-    """Deterministic greedy next-token oracle: same prefix, same token."""
+    """Deterministic greedy next-token oracle: same prefix, same token.  The
+    ``prefix`` list may change once ``greedy_next`` returns; copy what you keep."""
 
     eos_token: int | None
     vocab_size: int | None
@@ -169,29 +165,34 @@ class DecodeState:
 
 
 def accept(
-    tree: DraftTree, committed: Sequence[int], verifier: Verifier
+    tree: DraftTree, committed: list[int], verifier: Verifier
 ) -> tuple[list[int], int]:
     """Greedy acceptance walk over a drafted tree.
 
     Starting at the anchor, ask the verifier for its greedy next token given
     ``committed`` plus the path accepted so far, and descend into the
-    earliest-inserted child carrying that token, until no child matches.
-    Returns the accepted node indices and the bonus token (the verifier's
-    token after the last accepted node).  Costs accepted + 1 verifier calls.
+    earliest-inserted child carrying that token (``tree.child``), until no
+    child matches.  Returns the accepted node indices and the bonus token
+    (the verifier's token after the last accepted node).  Costs accepted + 1
+    verifier calls.  The path is appended to ``committed`` during the walk
+    and removed again before returning.  A tree without the index that
+    ``build_draft_tree`` records is refused.
     """
-    first_child: dict[tuple[int | None, int], int] = {}
-    for i, node in enumerate(tree.nodes):
-        first_child.setdefault((node.parent, node.token), i)
-    prefix = list(committed)
+    if tree.child is None:
+        raise ValueError("tree has no child index; build it with build_draft_tree")
+    base = len(committed)
     accepted: list[int] = []
     at: int | None = None
-    while True:
-        expect = verifier.greedy_next(prefix)
-        at = first_child.get((at, expect))
-        if at is None:
-            return accepted, expect
-        accepted.append(at)
-        prefix.append(expect)
+    try:
+        while True:
+            expect = verifier.greedy_next(committed)
+            at = tree.child.get((at, expect))
+            if at is None:
+                return accepted, expect
+            accepted.append(at)
+            committed.append(expect)
+    finally:
+        del committed[base:]
 
 
 def update_tables(state: DecodeState, window_source: Sequence[int]) -> None:
@@ -265,7 +266,7 @@ def decode_step(
         drafted=len(tree.nodes),
         accepted=min(len(accepted), len(emitted)),
         emitted=len(emitted),
-        longest_branch=longest_branch_len(tree),
+        longest_branch=tree.max_depth,
     )
     state.step_log.append(metrics)
     return metrics

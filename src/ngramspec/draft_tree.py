@@ -15,12 +15,12 @@ the remaining leaves while the token budget allows.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cache_table import CacheTableConfig, Follower, LruCacheTable
+from .cache_table import CacheTableConfig, LruCacheTable
 from .frozen_table import FrozenTable
 
 
@@ -59,11 +59,18 @@ class DraftTree:
     """Draft nodes in insertion order plus the pending (non-verified) chain.
 
     Invariant: ``len(pending) + len(nodes) <= tdl`` for every built tree, and
-    parent indices always precede their children.
+    parent indices always precede their children.  As ``build_draft_tree``
+    hangs the nodes it also fills ``child``, which maps (parent, token) to the
+    earliest node with that parent (None: the anchor) and token, the node the
+    acceptance walk descends into, and ``max_depth``, the deepest branch's
+    length.  A tree constructed without them has both None, and ``accept``
+    refuses it.
     """
 
     pending: tuple[int, ...]
     nodes: list[DraftNode]
+    child: dict[tuple[int | None, int], int] | None = field(default=None, repr=False, compare=False)
+    max_depth: int | None = field(default=None, compare=False)
 
 
 def build_draft_tree(
@@ -81,7 +88,8 @@ def build_draft_tree(
     table: pop a chain end, form the leader from the last ``ll`` tokens of
     (context ++ path), and hang each returned follower as a linear chain,
     feeding new chain ends back into the frontier.  Phase 2 repeats the same
-    expansion over the remaining leaves using the frozen table.
+    expansion with the frozen table, starting from the chain ends (and the
+    anchor) that phase 1 left childless; it is skipped when no chain fits.
 
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
@@ -99,54 +107,52 @@ def build_draft_tree(
     if frozen is not None and (frozen.config.ll, frozen.config.fl) != (tcfg.ll, tcfg.fl):
         raise ValueError("frozen table shape does not match the table config")
 
-    pending = tuple(context[-pending_len:]) if pending_len else ()
     nodes: list[DraftNode] = []
-    tree = DraftTree(pending=pending, nodes=nodes)
-
+    child: dict[tuple[int | None, int], int] = {}
+    tree = DraftTree(tuple(context[-pending_len:]) if pending_len else (), nodes, child, 0)
     ll, fl = tcfg.ll, tcfg.fl
-    tdl, crt = dcfg.tdl, dcfg.crt
     if len(context) < ll:
         return tree
 
-    # Chain-end bookkeeping: the last ll tokens of (context ++ path) per
-    # expandable node, and the follower chains already hung per node.
-    tails: dict[int | None, tuple[int, ...]] = {None: tuple(context[-ll:])}
-    hung: dict[int | None, set[Follower]] = {}
+    # A chain of fl tokens fits while n (== len(nodes)) is at most ``room``;
+    # chains off the anchor also keep the crt reserve free.
+    room = dcfg.tdl - pending_len - fl
+    anchor_room = room - dcfg.crt
+    new_node = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    n = 0
 
-    def expand(frontier: deque[int | None], lookup) -> None:
-        while frontier:
-            if pending_len + len(nodes) + fl > tdl:
-                return  # no chain fits anywhere anymore
-            parent = frontier.popleft()
-            cap = tdl - crt if parent is None else tdl
-            followers = lookup(tails[parent])
-            seen = hung.setdefault(parent, set())
-            base_depth = nodes[parent].depth if parent is not None else 0
-            for follower in followers:
-                if pending_len + len(nodes) + fl > cap:
+    def expand(frontier: deque, lookup, childless: list) -> None:
+        # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
+        nonlocal n
+        while frontier and n <= room:
+            parent, tail, depth = item = frontier.popleft()
+            limit = anchor_room if parent is None else room
+            seen: set = set()
+            for follower in lookup(tail):
+                if n > limit:
                     break  # every chain is fl tokens; none of the rest fit
                 if follower in seen:
                     continue
                 seen.add(follower)
-                at = parent
-                depth = base_depth
+                at, d = parent, depth
                 for token in follower:
-                    depth += 1
-                    nodes.append(DraftNode(token, at, depth))
-                    at = len(nodes) - 1
-                tails[at] = (tails[parent] + follower)[-ll:]
-                frontier.append(at)
+                    d += 1
+                    child.setdefault((at, token), n)
+                    nodes.append(new_node(DraftNode, (token, at, d)))
+                    at = n
+                    n += 1
+                frontier.append((at, (tail + follower)[-ll:], depth + fl))
+            if not seen:
+                childless.append(item)
+            elif depth + fl > tree.max_depth:
+                tree.max_depth = depth + fl  # where the chains just hung end
 
-    expand(deque((None,)), dynamic.query)
-
-    if frozen is not None:
-        with_children = {node.parent for node in nodes}
-        leaves: deque[int | None] = deque()
-        if None not in with_children:
-            leaves.append(None)
-        leaves.extend(i for i in range(len(nodes)) if i not in with_children)
-        expand(leaves, frozen.query)
-
+    # Phase 1 pops every chain end unless the budget runs out first, so the
+    # childless ends it collects, in node order, are the frozen phase's leaves.
+    leaves: list = []
+    expand(deque(((None, tuple(context[-ll:]), 0),)), dynamic.query, leaves)
+    if frozen is not None and n <= room:
+        expand(deque(leaves), frozen.query, [])
     return tree
 
 
@@ -174,8 +180,3 @@ def attention_mask(tree: DraftTree) -> np.ndarray:
             mask[i, :] = mask[p - 1, :]
         mask[i, i] = True
     return mask
-
-
-def longest_branch_len(tree: DraftTree) -> int:
-    """Token length of the deepest root-to-leaf path (0 for an empty tree)."""
-    return max((node.depth for node in tree.nodes), default=0)

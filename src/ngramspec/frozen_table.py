@@ -88,9 +88,6 @@ class FrozenTable:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def leader_count(self) -> int:
-        return len(self.entries)
-
     def query(self, leader: Leader) -> list[Follower]:
         """Followers for ``leader`` in descending frequency, or []."""
         return list(self.entries.get(leader, ()))

@@ -176,6 +176,47 @@ def brute_ancestor_mask(pending_len: int, nodes: list[dict]) -> list[list[bool]]
     return mask
 
 
+def brute_child_index(nodes: Sequence[tuple]) -> dict:
+    """(parent, token) -> the first node index carrying that pair, found by
+    scanning every (token, parent, depth) node in order."""
+    index: dict = {}
+    for i, (token, parent, _depth) in enumerate(nodes):
+        if (parent, token) not in index:
+            index[(parent, token)] = i
+    return index
+
+
+def brute_max_depth(nodes: Sequence[tuple]) -> int:
+    """Depth of the deepest (token, parent, depth) node, 0 for no nodes."""
+    deepest = 0
+    for _token, _parent, depth in nodes:
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def linear_accept(
+    nodes: Sequence[tuple], committed: Sequence[int], greedy_next: Callable
+) -> tuple[list[int], int]:
+    """Greedy acceptance walk that rescans the whole node list at every
+    level for the first child of the current node carrying the verifier's
+    token.  Returns the accepted node indices and the bonus token."""
+    accepted: list[int] = []
+    path: list[int] = []
+    at = None
+    while True:
+        expect = greedy_next(list(committed) + path)
+        match = None
+        for i, (token, parent, _depth) in enumerate(nodes):
+            if parent == at and token == expect:
+                match = i
+                break
+        if match is None:
+            return accepted, expect
+        accepted.append(match)
+        path.append(expect)
+        at = match
+
+
 def greedy_reference(
     prompt: Sequence[int],
     verifier,

@@ -28,7 +28,6 @@ class TestConstruction:
     )
     def test_new_table_is_empty(self, cfg):
         table = LruCacheTable(CacheTableConfig(*cfg))
-        assert table.leader_count() == 0
         assert len(table) == 0
 
     @pytest.mark.parametrize(
@@ -81,14 +80,14 @@ class TestInsert:
         table.insert(L(1), L(10))
         assert table.insert(L(1), L(10)) is None
         assert table.query(L(1)) == [L(10)]
-        assert table.leader_count() == 1
+        assert len(table) == 1
 
     def test_leader_capacity_eviction(self):
         table = LruCacheTable(CacheTableConfig(1, 1, 1, 2))
         table.insert(L(1), L(10))
         report = table.insert(L(2), L(20))
         assert report == EvictedLeader(leader=L(1), followers=(L(10),))
-        assert table.leader_count() == 1
+        assert len(table) == 1
 
     def test_duplicate_insert_refreshes_follower_recency(self):
         table = LruCacheTable(CacheTableConfig(1, 1, 4, 2))
@@ -109,12 +108,12 @@ class TestLeaderCount:
     def test_counts(self):
         cfg = CacheTableConfig(1, 1, 3, 2)
         table = LruCacheTable(cfg)
-        assert table.leader_count() == 0
+        assert len(table) == 0
         table.insert(L(1), L(10))
-        assert table.leader_count() == 1
+        assert len(table) == 1
         for i in range(cfg.lc + 1):
             table.insert(L(100 + i), L(10))
-        assert table.leader_count() == cfg.lc
+        assert len(table) == cfg.lc
 
 
 class TestPeek:
@@ -186,7 +185,7 @@ def test_capacity_safety(cfg, ops):
             table.query(leader)
         else:
             table.insert(leader, tuple(b + i for i in range(fl)))
-        assert table.leader_count() <= lc
+        assert len(table) <= lc
         assert all(len(fs) <= fc for _, fs in table.snapshot())
 
 
@@ -215,9 +214,9 @@ def test_duplicate_insert_changes_no_counts(ops):
             table.insert((a,), (b,))
     for leader, followers in table.snapshot():
         target = rng.choice(followers)
-        leaders_before = table.leader_count()
+        leaders_before = len(table)
         length_before = len(followers)
         table.insert(leader, target)
         peeked = table.peek(leader)
-        assert table.leader_count() == leaders_before
+        assert len(table) == leaders_before
         assert peeked is not None and len(peeked) == length_before

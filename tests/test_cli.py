@@ -372,6 +372,24 @@ class TestMain:
         assert "--corpus" in captured.err
         assert captured.out.strip() == f"wrote {table}"  # no report was printed
 
+    def test_table_with_corpus_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        capsys.readouterr()
+        for command in ("bench", "ablate"):
+            code = main(
+                [command, "--prompts", str(prompts), "--table", str(table),
+                 "--corpus", str(corpus), "--max-new-tokens", "5"]
+            )
+            assert code == 2
+            captured = capsys.readouterr()
+            assert "--table and --corpus" in captured.err
+            assert captured.out == ""  # no report was printed
+
     def test_whitespace_table_without_sidecar_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")

@@ -121,13 +121,13 @@ class TestUpdateTables:
     def test_one_new_token_one_insertion(self):
         state = fresh_state(ll=1, fl=3)
         update_tables(state, [1, 2, 3, 4])  # 3 prior tokens + 1 new
-        assert state.dynamic.leader_count() == 1
+        assert len(state.dynamic) == 1
         assert state.dynamic.peek((1,)) == [(2, 3, 4)]
 
     def test_short_source_inserts_only_complete_windows(self):
         state = fresh_state(ll=1, fl=3)
         update_tables(state, [1, 2])
-        assert state.dynamic.leader_count() == 0
+        assert len(state.dynamic) == 0
 
     def test_k_new_tokens_k_insertions(self):
         state = fresh_state(ll=2, fl=2)
@@ -140,14 +140,14 @@ class TestUpdateTables:
     def test_disabled_dynamic_is_untouched(self):
         state = fresh_state(ll=1, fl=1, dynamic_enabled=False)
         update_tables(state, [1, 2, 3])
-        assert state.dynamic.leader_count() == 0
+        assert len(state.dynamic) == 0
 
 
 class TestInitFromPrompt:
     def test_short_prompt_no_insertions(self):
         state = fresh_state(ll=1, fl=3)
         init_from_prompt(state, [1, 2, 3])  # needs ll + fl = 4
-        assert state.dynamic.leader_count() == 0
+        assert len(state.dynamic) == 0
         assert state.committed == [1, 2, 3]
         assert state.pending_len == 1
 
@@ -176,7 +176,7 @@ class TestReset:
         state = fresh_state(ll=1, fl=1)
         init_from_prompt(state, [1, 2, 1, 2])
         reset(state)
-        assert state.dynamic.leader_count() == 0
+        assert len(state.dynamic) == 0
         assert state.committed == [] and state.pending_len == 0
         assert state.step_log == []
 

@@ -1,8 +1,10 @@
-"""Draft tree construction, budget/reserve rules, and the attention mask."""
+"""Draft tree construction, budget/reserve rules, the tree's child index,
+and the attention mask."""
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,17 +12,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngramspec.cache_table import CacheTableConfig, LruCacheTable
+from ngramspec.decode_loop import accept
 from ngramspec.draft_tree import (
     DraftConfig,
     DraftNode,
     DraftTree,
     attention_mask,
     build_draft_tree,
-    longest_branch_len,
 )
 from ngramspec.frozen_table import build_frozen, count_ngrams
 
-from oracles import RefLruTable, brute_ancestor_mask, brute_build_tree, naive_frozen_map
+from oracles import (
+    RefLruTable,
+    brute_ancestor_mask,
+    brute_build_tree,
+    brute_child_index,
+    brute_max_depth,
+    linear_accept,
+    naive_frozen_map,
+)
 
 # Token ids for the worked two-word-leader example:
 # "at dawn the fox" with followers "ran fast" / "hid deep" / "sat still",
@@ -73,7 +83,7 @@ class TestBuild:
             (YOU, 5, 3),
             (COULD, 6, 4),
         ]
-        assert longest_branch_len(tree) == 4
+        assert tree.max_depth == 4
 
     def test_depth_one_reserve_budget(self):
         # tdl - crt - pending = 4 with fl = 2: exactly two chains at depth 1,
@@ -112,6 +122,20 @@ class TestBuild:
         # Dynamic adds 1; frozen then grows the chain until tdl is exhausted.
         assert [n.token for n in tree.nodes] == [1, 2, 2, 2]
         assert [n.parent for n in tree.nodes] == [None, 0, 1, 2]
+
+    def test_frozen_phase_takes_the_last_chain_slot(self):
+        # After the dynamic chain, exactly one more 2-token chain fits in tdl=4;
+        # the frozen phase must still run and hang it below the childless end.
+        tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=4)
+        dynamic, ref = LruCacheTable(tcfg), RefLruTable(1, 2, 8, 4)
+        dynamic.insert((0,), (1, 2))
+        ref.insert((0,), (1, 2))
+        docs = [[2, 3, 4]]
+        frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
+        tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=0), tcfg)
+        expected = brute_build_tree([0], 0, ref, naive_frozen_map(docs, 1, 2, 8, 4), 4, 0, 1, 2)
+        assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
+        assert [n.token for n in tree.nodes] == [1, 2, 3, 4]
 
     def test_pending_counts_against_budget(self):
         tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=8)
@@ -234,6 +258,71 @@ def test_budget_and_reserve_invariants(seed):
         assert pending + len(tree.nodes) <= tdl
         level_one = sum(1 for n in tree.nodes if n.depth <= fl)
         assert level_one <= max(0, tdl - crt - pending)
+
+
+class PathVerifier:
+    """Greedy oracle seeded by ``salt`` and the path past the first
+    ``committed_len`` tokens, so the same prefix always gives the same token.
+    Four times in five it picks a token that continues that path somewhere
+    in ``nodes`` (any branch, not only the earliest); otherwise, or when no
+    branch continues it, a token from ``range(6)`` (every ``random_setup``
+    token)."""
+
+    def __init__(self, committed_len: int, salt: int, nodes) -> None:
+        self.committed_len = committed_len
+        self.salt = salt
+        self.paths: list[tuple] = []
+        for token, parent, _depth in nodes:
+            self.paths.append((self.paths[parent] if parent is not None else ()) + (token,))
+
+    def greedy_next(self, prefix) -> int:
+        path = tuple(prefix[self.committed_len :])
+        rng = random.Random(f"{self.salt}:{path}")
+        options = sorted({p[-1] for p in self.paths if p[:-1] == path})
+        if options and rng.random() < 0.8:
+            return rng.choice(options)
+        return rng.randrange(6)
+
+
+def sparse_copy(table: LruCacheTable) -> LruCacheTable:
+    """The table with only each leader's most recent follower, so the dynamic
+    phase leaves budget and childless chain ends for the frozen phase."""
+    out = LruCacheTable(table.config)
+    for leader, followers in table.snapshot():
+        out.insert(leader, followers[0])
+    return out
+
+
+def test_index_and_accept_match_brute_force():
+    phase_two = deep_walks = 0
+    for seed in range(40):
+        rng = random.Random(3000 + seed)
+        for _ in range(20):
+            ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
+            tcfg, dcfg = CacheTableConfig(ll, fl, lc, fc), DraftConfig(tdl, crt)
+            for table in [real] if frozen is None else [real, sparse_copy(real)]:
+                bare = build_draft_tree(context, pending, clone_table(table), None, dcfg, tcfg)
+                tree = build_draft_tree(context, pending, table, frozen, dcfg, tcfg)
+                nodes = as_tuples(tree)
+                phase_two += len(nodes) > len(bare.nodes)  # the frozen phase hung chains
+                assert tree.child == brute_child_index(nodes)
+                assert tree.max_depth == brute_max_depth(nodes)
+
+                committed = list(context)
+                verifier = PathVerifier(len(context), rng.randrange(10**9), nodes)
+                got = accept(tree, committed, verifier)
+                assert committed == context  # the walk restores the caller's list
+                assert got == linear_accept(nodes, context, verifier.greedy_next)
+                deep_walks += len(got[0]) >= 2
+    assert phase_two >= 100
+    assert deep_walks >= 100
+
+
+def test_accept_refuses_a_tree_without_index():
+    nodes = [DraftNode(5, None, 1), DraftNode(6, 0, 2)]
+    walk = SimpleNamespace(greedy_next=lambda prefix: [5, 6, 9][len(prefix)])
+    with pytest.raises(ValueError, match="child index"):
+        accept(DraftTree(pending=(1,), nodes=nodes), [], walk)
 
 
 @given(

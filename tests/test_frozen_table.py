@@ -69,7 +69,7 @@ class TestBuildFrozen:
         for _ in range(3):
             counts.add_window((2,), (9,))
         table = build_frozen(counts, tcfg)
-        assert table.leader_count() == 1
+        assert len(table) == 1
         assert table.query((1,)) == [(9,)]
         assert table.query((2,)) == []
 
