@@ -11,6 +11,7 @@ deterministic given its inputs and seed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -39,10 +40,16 @@ MODES = ("dual", "dynamic", "frozen")
 
 
 class Vocab:
-    """Insertion-ordered word-to-id map for the whitespace tokenizer."""
+    """Insertion-ordered word-to-id map for the whitespace tokenizer.
 
-    def __init__(self, words: Iterable[str] = ()) -> None:
+    ``table_sha256`` is the SHA-256 of the CBFT table whose ids these are;
+    ``build-table`` stores it in the ``.vocab.json`` sidecar so that a
+    sidecar left beside another table is refused.
+    """
+
+    def __init__(self, words: Iterable[str] = (), table_sha256: str | None = None) -> None:
         self._ids: dict[str, int] = {}
+        self.table_sha256 = table_sha256
         for word in words:
             self.id(word)
 
@@ -53,7 +60,11 @@ class Vocab:
         return at
 
     def encode(self, text: str) -> list[int]:
-        return [self.id(word) for word in text.split()]
+        words = text.split()
+        try:
+            return list(map(self._ids.__getitem__, words))
+        except KeyError:  # a new word: assign ids in first-seen order
+            return [self.id(word) for word in words]
 
     def words(self) -> list[str]:
         return list(self._ids)
@@ -62,11 +73,17 @@ class Vocab:
         return len(self._ids)
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.words()), encoding="utf-8")
+        Path(path).write_text(
+            json.dumps({"table_sha256": self.table_sha256, "words": self.words()}),
+            encoding="utf-8",
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict) or not isinstance(data.get("words"), list):
+            raise ValueError(f"{path} is not a vocabulary file")
+        return cls(data["words"], data.get("table_sha256"))
 
 
 def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:
@@ -479,6 +496,7 @@ def cmd_build_table(
     out = Path(out)
     table.save(out)
     if vocab is not None:
+        vocab.table_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
         vocab.save(_vocab_sidecar(out))
     return out
 
@@ -498,7 +516,8 @@ def _load_tables_and_tasks(
     if cfg.tokenizer == "whitespace":
         vocab = Vocab()
     if table_path is not None:
-        frozen = FrozenTable.load(table_path)
+        data = Path(table_path).read_bytes()
+        frozen = FrozenTable.load(data)
         if (frozen.config.ll, frozen.config.fl) != (cfg.ll, cfg.fl):
             raise ValueError(
                 f"table shape ll={frozen.config.ll},fl={frozen.config.fl} does not "
@@ -512,6 +531,11 @@ def _load_tables_and_tasks(
                     "would not match the table"
                 )
             vocab = Vocab.load(sidecar)
+            if vocab.table_sha256 != hashlib.sha256(data).hexdigest():
+                raise ValueError(
+                    f"vocabulary sidecar {sidecar} was written for another table; "
+                    "rebuild the table to get matching token ids"
+                )
     elif corpus_paths:
         corpus_texts = read_documents(corpus_paths, doc_mode)
         frozen = _build_frozen_from_texts(corpus_texts, cfg.table_config(), cfg.tokenizer, vocab)

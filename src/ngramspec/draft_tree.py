@@ -93,8 +93,9 @@ def build_draft_tree(
 
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
-    a reserve.  A chain is added only if all ``fl`` tokens fit; a follower is
-    skipped if an identical chain already hangs from the same node.
+    a reserve.  A chain is added only if all ``fl`` tokens fit.  Both tables
+    list a leader's followers once each (``FrozenTable.load`` rejects a file
+    that repeats one), so no two chains from one node are identical.
 
     A context shorter than ``ll`` cannot be queried and yields an empty tree.
     """
@@ -127,13 +128,11 @@ def build_draft_tree(
         while frontier and n <= room:
             parent, tail, depth = item = frontier.popleft()
             limit = anchor_room if parent is None else room
-            seen: set = set()
+            hung = False
             for follower in lookup(tail):
                 if n > limit:
                     break  # every chain is fl tokens; none of the rest fit
-                if follower in seen:
-                    continue
-                seen.add(follower)
+                hung = True
                 at, d = parent, depth
                 for token in follower:
                     d += 1
@@ -142,7 +141,7 @@ def build_draft_tree(
                     at = n
                     n += 1
                 frontier.append((at, (tail + follower)[-ll:], depth + fl))
-            if not seen:
+            if not hung:
                 childless.append(item)
             elif depth + fl > tree.max_depth:
                 tree.max_depth = depth + fl  # where the chains just hung end

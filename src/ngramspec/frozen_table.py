@@ -2,10 +2,16 @@
 
 Counting slides a window of ``ll + fl`` tokens over each document (windows
 never cross document boundaries); the first ``ll`` tokens are the leader and
-the next ``fl`` the follower.  The built table keeps the ``lc`` most frequent
-leaders, each with its ``fc`` most frequent followers in descending frequency.
-Ties break by ascending lexicographic token-id order so rebuilds are
-byte-identical.
+the next ``fl`` the follower.  Token ids are u32: ``0 <= id < 2**32``.  The
+work runs in NumPy over all documents at once: each window is packed into
+one int64 key whose radix is the largest id + 1, so sorting the keys orders
+the windows lexicographically, and runs of equal keys give each distinct
+window's count.  A leader's count is the sum of its windows' counts.
+
+The built table keeps the ``lc`` most frequent leaders, each with its ``fc``
+most frequent followers in descending frequency.  Ties break by ascending
+lexicographic token-id order so rebuilds are byte-identical.  No leader lists
+a follower twice; loading rejects a file that does.
 
 Serialization format (CBFT), all integers little-endian:
 
@@ -24,16 +30,19 @@ Serialization format (CBFT), all integers little-endian:
 from __future__ import annotations
 
 import struct
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
+
+import numpy as np
 
 from .cache_table import CacheTableConfig, Follower, Leader
 
 _MAGIC = b"CBFT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIQI")
+_MAX_ID = 2**32 - 1
 
 
 class FrozenTableLoadError(ValueError):
@@ -46,32 +55,84 @@ class FrozenTableLoadError(ValueError):
 
 @dataclass
 class NGramCounts:
-    """Window counts: leader frequency and conditional follower frequency."""
+    """Distinct windows of ``ll + fl`` tokens and how often each occurs.
 
-    leaders: Counter = field(default_factory=Counter)
-    followers: dict[Leader, Counter] = field(default_factory=dict)
+    ``windows`` is a ``(distinct, ll + fl)`` int64 array in ascending
+    lexicographic order, so each leader's windows are contiguous; ``counts``
+    holds their occurrence counts.  A leader's count is the sum of its
+    windows' counts.
+    """
 
-    def add_window(self, leader: Leader, follower: Follower) -> None:
-        self.leaders[leader] += 1
-        by_leader = self.followers.get(leader)
-        if by_leader is None:
-            by_leader = self.followers[leader] = Counter()
-        by_leader[follower] += 1
+    windows: np.ndarray
+    counts: np.ndarray
 
 
 def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NGramCounts:
     """Count every in-document window of ``ll + fl`` consecutive tokens.
 
-    Documents shorter than one window contribute nothing.
+    Documents shorter than one window contribute nothing.  Token ids must be
+    in ``[0, 2**32)`` (CBFT stores u32 ids); others raise ``ValueError``.
     """
-    counts = NGramCounts()
-    ll, fl = tcfg.ll, tcfg.fl
-    width = ll + fl
-    for doc in streams:
-        tokens = tuple(doc)
-        for i in range(len(tokens) - width + 1):
-            counts.add_window(tokens[i : i + ll], tokens[i + ll : i + width])
-    return counts
+    docs = list(streams)
+    width = tcfg.ll + tcfg.fl
+    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+    try:
+        flat = np.fromiter(chain.from_iterable(docs), np.int64, int(lengths.sum()))
+    except OverflowError as exc:
+        raise ValueError(f"token ids must be in [0, 2**32): {exc}") from exc
+    if flat.size and (flat.min() < 0 or flat.max() > _MAX_ID):
+        raise ValueError(
+            f"token ids must be in [0, 2**32), got {int(flat.min())}..{int(flat.max())}"
+        )
+    n_windows = flat.size - width + 1
+    if n_windows <= 0:
+        return NGramCounts(np.zeros((0, width), np.int64), np.zeros(0, np.int64))
+
+    # Pack window i into key[i] = sum(flat[i + c] * base**(width-1-c)), so
+    # that sorting keys orders windows lexicographically.  Before a fold
+    # could pass 2**63, the keys are replaced by their dense ranks (np.unique
+    # keeps their order), and ``prefix`` maps each rank back to the tokens
+    # folded so far.
+    base = int(flat.max()) + 1
+    key = np.zeros(n_windows, np.int64)
+    prefix = np.zeros((1, 0), np.int64)
+    bound = 1  # every key is below it
+    for c in range(width):
+        if bound * base > 2**63:
+            ranked, key = np.unique(key, return_inverse=True)
+            prefix = _unpack(ranked, prefix, base, c - prefix.shape[1])
+            bound = len(prefix)
+            del ranked
+        key *= base
+        key += flat[c : c + n_windows]
+        bound *= base
+    # A window crosses a document end when its first and last tokens lie in
+    # different documents; such keys become -1 and sort first.
+    doc = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
+    key[doc[:n_windows] != doc[width - 1 :]] = -1
+    del doc, flat  # set-up's peak memory is the few n-length arrays alive at once
+
+    key.sort()
+    key = key[np.searchsorted(key, 0) :]
+    head = np.empty(key.size, bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=key.size)
+    key = key[starts]
+    del head, starts
+    return NGramCounts(_unpack(key, prefix, base, width - prefix.shape[1]), counts)
+
+
+def _unpack(keys: np.ndarray, prefix: np.ndarray, base: int, k: int) -> np.ndarray:
+    """Tokens of packed ``keys`` (consumed): the last ``k`` radix-``base``
+    digits are tokens, the leading part is a row index into ``prefix``."""
+    p = prefix.shape[1]
+    out = np.empty((len(keys), p + k), np.int64)
+    for c in reversed(range(p, p + k)):
+        np.divmod(keys, base, out=(keys, out[:, c]))
+    out[:, :p] = prefix[keys]
+    return out
 
 
 @dataclass
@@ -118,26 +179,53 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
     Ranking is by descending count, then ascending lexicographic token-id
     order, which makes the result (and its serialization) deterministic.
     """
-    ranked_leaders = sorted(counts.leaders.items(), key=lambda kv: (-kv[1], kv[0]))
-    entries: dict[Leader, tuple[Follower, ...]] = {}
-    for leader, _ in ranked_leaders[: tcfg.lc]:
-        ranked = sorted(counts.followers[leader].items(), key=lambda kv: (-kv[1], kv[0]))
-        entries[leader] = tuple(follower for follower, _ in ranked[: tcfg.fc])
+    ll, width = tcfg.ll, tcfg.ll + tcfg.fl
+    windows, counts = counts.windows, counts.counts
+    if windows.shape[1] != width:
+        raise ValueError(f"counted windows have {windows.shape[1]} tokens, not ll + fl = {width}")
+    if not len(windows):
+        return FrozenTable(config=tcfg, entries={})
+    # Windows are sorted, so each leader's windows form one contiguous group.
+    new_leader = np.empty(len(windows), bool)
+    new_leader[0] = True
+    np.any(windows[1:, :ll] != windows[:-1, :ll], axis=1, out=new_leader[1:])
+    starts = np.flatnonzero(new_leader)
+    group = np.cumsum(new_leader) - 1
+    # Both sorts are stable, so equal counts keep lexicographic order.
+    top = np.argsort(-np.add.reduceat(counts, starts), kind="stable")[: tcfg.lc]
+    order = np.lexsort((-counts, group))  # by leader, then by descending count
+    kept = order[np.arange(len(order)) - starts[group] < tcfg.fc]
+    sizes = np.minimum(np.diff(starts, append=len(windows)), tcfg.fc)
+    ends = np.cumsum(sizes)
+    begins = ends - sizes
+    leaders = zip(*windows[starts[top], :ll].T.tolist())
+    followers = list(zip(*windows[kept, ll:].T.tolist()))
+    entries = {
+        leader: tuple(followers[b:e])
+        for leader, b, e in zip(leaders, begins[top].tolist(), ends[top].tolist())
+    }
     return FrozenTable(config=tcfg, entries=entries)
 
 
 def _write(table: FrozenTable, fh: BinaryIO) -> None:
     cfg = table.config
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, cfg.ll, cfg.fl, len(table.entries), cfg.fc))
+    ll, fl = cfg.ll, cfg.fl
+    fh.write(_HEADER.pack(_MAGIC, _VERSION, ll, fl, len(table.entries), cfg.fc))
     for leader, followers in table.entries.items():
-        if len(leader) != cfg.ll:
-            raise ValueError(f"leader {leader!r} does not have length ll={cfg.ll}")
-        fh.write(struct.pack(f"<{cfg.ll}I", *leader))
-        fh.write(struct.pack("<I", len(followers)))
-        for follower in followers:
-            if len(follower) != cfg.fl:
-                raise ValueError(f"follower {follower!r} does not have length fl={cfg.fl}")
-            fh.write(struct.pack(f"<{cfg.fl}I", *follower))
+        if len(leader) != ll:
+            raise ValueError(f"leader {leader!r} does not have length ll={ll}")
+        if any(map(fl.__ne__, map(len, followers))):
+            bad = next(f for f in followers if len(f) != fl)
+            raise ValueError(f"follower {bad!r} does not have length fl={fl}")
+        # One entry: leader tokens, follower count, follower tokens.
+        fh.write(
+            struct.pack(
+                f"<{ll + 1 + fl * len(followers)}I",
+                *leader,
+                len(followers),
+                *chain.from_iterable(followers),
+            )
+        )
 
 
 def _parse(data: bytes) -> FrozenTable:
@@ -154,26 +242,29 @@ def _parse(data: bytes) -> FrozenTable:
     except ValueError as exc:
         raise FrozenTableLoadError(f"invalid table shape: {exc}", 8) from exc
 
-    def take(fmt: str, width: int) -> tuple:
-        nonlocal offset
-        if offset + width > len(data):
-            raise FrozenTableLoadError("truncated entry", len(data))
-        out = struct.unpack_from(fmt, data, offset)
-        offset += width
-        return out
-
+    head = struct.Struct(f"<{ll + 1}I")  # leader tokens, follower count
     entries: dict[Leader, tuple[Follower, ...]] = {}
     for _ in range(leader_count):
         at = offset
-        leader = take(f"<{ll}I", 4 * ll)
-        (n_followers,) = take("<I", 4)
+        if offset + head.size > len(data):
+            raise FrozenTableLoadError("truncated entry", len(data))
+        *leader, n_followers = head.unpack_from(data, offset)
+        offset += head.size
         if n_followers > fc:
             raise FrozenTableLoadError(
                 f"follower count {n_followers} exceeds fc={fc}", at
             )
-        followers = tuple(take(f"<{fl}I", 4 * fl) for _ in range(n_followers))
+        width = 4 * fl * n_followers
+        if offset + width > len(data):
+            raise FrozenTableLoadError("truncated entry", len(data))
+        tokens = iter(struct.unpack_from(f"<{fl * n_followers}I", data, offset))
+        offset += width
+        followers = tuple(zip(*[tokens] * fl))
+        leader = tuple(leader)
         if leader in entries:
             raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
+        if len(set(followers)) != n_followers:
+            raise FrozenTableLoadError(f"leader {leader!r} lists a follower twice", at)
         entries[leader] = followers
     if offset != len(data):
         raise FrozenTableLoadError("trailing bytes after last leader", offset)

@@ -89,6 +89,24 @@ def naive_frozen_map(
     return out
 
 
+def cbft_bytes(table_map: dict[tuple, list[tuple]], ll: int, fl: int, fc: int) -> bytes:
+    """CBFT serialization of a leader -> followers map, in its order, written
+    field by field from the format description with ``int.to_bytes``."""
+
+    def u32(value: int) -> bytes:
+        return value.to_bytes(4, "little")
+
+    out = b"CBFT" + u32(1) + u32(ll) + u32(fl) + len(table_map).to_bytes(8, "little") + u32(fc)
+    for leader, followers in table_map.items():
+        for token in leader:
+            out += u32(token)
+        out += u32(len(followers))
+        for follower in followers:
+            for token in follower:
+                out += u32(token)
+    return out
+
+
 def brute_build_tree(
     context: Sequence[int],
     pending_len: int,

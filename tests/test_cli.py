@@ -27,7 +27,7 @@ from ngramspec.decode_loop import ReplayOracle
 from ngramspec.frozen_table import FrozenTable
 
 from corpus import background_texts, eval_texts
-from oracles import SimDecoder
+from oracles import SimDecoder, cbft_bytes, naive_frozen_map
 
 
 class TestTokenize:
@@ -44,6 +44,12 @@ class TestTokenize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             tokenize("a", "words")
+
+    def test_new_words_take_ids_in_first_seen_order(self):
+        vocab = Vocab()
+        assert vocab.encode("a b a") == [0, 1, 0]
+        assert vocab.encode("b a b") == [1, 0, 1]
+        assert vocab.encode("b c a d c") == [1, 2, 0, 3, 2]
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocab()
@@ -121,6 +127,17 @@ class TestBuildTable:
             )
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("ll, fl, lc, fc", [(1, 3, 4096, 32), (2, 2, 5, 3)])
+    def test_bytes_match_oracle_serialization(self, tmp_path, ll, fl, lc, fc):
+        texts = background_texts()
+        src = tmp_path / "corpus.txt"
+        src.write_text("\n".join(texts), encoding="utf-8")
+        out = tmp_path / "t.cbft"
+        cmd_build_table([src], out, CacheTableConfig(ll, fl, lc, fc))
+        ids: dict[str, int] = {}
+        docs = [[ids.setdefault(word, len(ids)) for word in text.split()] for text in texts]
+        assert out.read_bytes() == cbft_bytes(naive_frozen_map(docs, ll, fl, lc, fc), ll, fl, fc)
 
     def test_byte_mode_writes_no_sidecar(self, tmp_path):
         src = tmp_path / "corpus.txt"
@@ -404,6 +421,33 @@ class TestMain:
             )
             assert code == 2
             assert "vocabulary sidecar" in capsys.readouterr().err
+
+
+    def test_sidecar_of_another_table_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        other = tmp_path / "o.txt"
+        other.write_text("\n".join(eval_texts(3)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        sidecar = tmp_path / "t.cbft.vocab.json"
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        stale = sidecar.read_text(encoding="utf-8")
+        assert main(["build-table", str(other), "--out", str(table)]) == 0
+        run = ["--prompts", str(prompts), "--table", str(table), "--max-new-tokens", "5"]
+        assert main(["bench", *run]) == 0
+        capsys.readouterr()
+        for old_sidecar, message in (
+            (stale, "written for another table"),
+            (json.dumps(Vocab.load(sidecar).words()), "not a vocabulary file"),
+        ):
+            sidecar.write_text(old_sidecar, encoding="utf-8")
+            for command in ("bench", "ablate"):
+                assert main([command, *run]) == 2
+                captured = capsys.readouterr()
+                assert message in captured.err
+                assert captured.out == ""
 
 
 def test_bench_report_render_dispatch():

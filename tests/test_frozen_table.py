@@ -11,7 +11,6 @@ from ngramspec.cache_table import CacheTableConfig
 from ngramspec.frozen_table import (
     FrozenTable,
     FrozenTableLoadError,
-    NGramCounts,
     build_frozen,
     count_ngrams,
 )
@@ -19,64 +18,75 @@ from ngramspec.frozen_table import (
 from oracles import naive_frozen_map
 
 
+def empty_table(tcfg):
+    return build_frozen(count_ngrams([], tcfg), tcfg)
+
+
+def distinct(counts):
+    """Counted windows as {window tuple: count}."""
+    return dict(zip(map(tuple, counts.windows.tolist()), counts.counts.tolist()))
+
+
 class TestCountNgrams:
     def test_alternating_doc(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
         counts = count_ngrams([[10, 11, 10, 11, 10]], tcfg)
-        assert counts.leaders == {(10,): 2, (11,): 2}
-        assert counts.followers[(10,)] == {(11,): 2}
-        assert counts.followers[(11,)] == {(10,): 2}
+        assert counts.windows.tolist() == [[10, 11], [11, 10]]
+        assert counts.counts.tolist() == [2, 2]
 
     def test_empty_corpus(self):
         counts = count_ngrams([], CacheTableConfig(1, 1, 8, 8))
-        assert not counts.leaders and not counts.followers
+        assert counts.windows.shape == (0, 2) and not len(counts.counts)
 
     def test_doc_one_token_short_of_a_window(self):
         tcfg = CacheTableConfig(2, 3, 8, 8)
         counts = count_ngrams([[1, 2, 3, 4]], tcfg)  # needs ll + fl = 5
-        assert not counts.leaders
+        assert not distinct(counts)
 
     def test_windows_do_not_cross_documents(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
-        counts = count_ngrams([[1], [2]], tcfg)
-        assert not counts.leaders
+        assert not distinct(count_ngrams([[1], [2]], tcfg))
+        counts = count_ngrams([[1, 2], [], [3], [4, 5, 6]], tcfg)
+        assert distinct(counts) == {(1, 2): 1, (4, 5): 1, (5, 6): 1}
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**70], ids=["negative", "2**32", "2**70"])
+    def test_ids_outside_u32_rejected(self, bad):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
+
+    def test_u32_extremes_accepted(self):
+        top = 2**32 - 1
+        counts = count_ngrams([[0, top, 0, top]], CacheTableConfig(2, 2, 8, 8))
+        assert distinct(counts) == {(0, top, 0, top): 1}
 
 
 class TestBuildFrozen:
     def test_top_one_follower(self):
         tcfg = CacheTableConfig(1, 1, 8, 1)
-        counts = NGramCounts()
-        for _ in range(3):
-            counts.add_window((1,), (2,))
-        counts.add_window((1,), (3,))
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(count_ngrams([[1, 2]] * 3 + [[1, 3]], tcfg), tcfg)
         assert table.query((1,)) == [(2,)]
 
     def test_tie_breaks_by_token_order(self):
         tcfg = CacheTableConfig(1, 1, 8, 2)
-        counts = NGramCounts()
-        for follower in [(5,), (3,)]:
-            counts.add_window((1,), follower)
-            counts.add_window((1,), follower)
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(count_ngrams([[1, 5], [1, 5], [1, 3], [1, 3]], tcfg), tcfg)
         assert table.query((1,)) == [(3,), (5,)]
 
     def test_leader_capacity_keeps_most_frequent(self):
         tcfg = CacheTableConfig(1, 1, 1, 4)
-        counts = NGramCounts()
-        for _ in range(5):
-            counts.add_window((1,), (9,))
-        for _ in range(3):
-            counts.add_window((2,), (9,))
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(count_ngrams([[1, 9]] * 5 + [[2, 9]] * 3, tcfg), tcfg)
         assert len(table) == 1
         assert table.query((1,)) == [(9,)]
         assert table.query((2,)) == []
 
+    def test_counts_of_another_shape_rejected(self):
+        counts = count_ngrams([[1, 2, 3]], CacheTableConfig(1, 2, 8, 8))
+        with pytest.raises(ValueError):
+            build_frozen(counts, CacheTableConfig(1, 1, 8, 8))
+
 
 class TestQueryFrozen:
     def test_absent_leader(self):
-        table = build_frozen(NGramCounts(), CacheTableConfig(1, 1, 4, 4))
+        table = empty_table(CacheTableConfig(1, 1, 4, 4))
         assert table.query((42,)) == []
 
     def test_repeated_queries_identical(self):
@@ -90,7 +100,7 @@ class TestQueryFrozen:
 
 class TestSerialization:
     def test_empty_table_is_header_only(self):
-        table = build_frozen(NGramCounts(), CacheTableConfig(1, 3, 4, 2))
+        table = empty_table(CacheTableConfig(1, 3, 4, 2))
         sink = io.BytesIO()
         table.save(sink)
         assert len(sink.getvalue()) == 28
@@ -112,7 +122,7 @@ class TestSerialization:
         assert sink.getvalue() == path.read_bytes()
 
     def test_corrupted_magic_rejected(self):
-        table = build_frozen(NGramCounts(), CacheTableConfig(1, 1, 4, 4))
+        table = empty_table(CacheTableConfig(1, 1, 4, 4))
         sink = io.BytesIO()
         table.save(sink)
         data = b"XXXX" + sink.getvalue()[4:]
@@ -120,7 +130,7 @@ class TestSerialization:
             FrozenTable.load(data)
 
     def test_unsupported_version_rejected(self):
-        table = build_frozen(NGramCounts(), CacheTableConfig(1, 1, 4, 4))
+        table = empty_table(CacheTableConfig(1, 1, 4, 4))
         sink = io.BytesIO()
         table.save(sink)
         data = sink.getvalue()
@@ -140,8 +150,17 @@ class TestSerialization:
             FrozenTable.load(data)
         assert err.value.offset == len(data)
 
+    def test_repeated_follower_rejected_at_its_leader(self):
+        tcfg = CacheTableConfig(1, 2, 4, 4)
+        table = FrozenTable(config=tcfg, entries={(7,): ((8, 9),), (1,): ((2, 3), (2, 3))})
+        sink = io.BytesIO()
+        table.save(sink)
+        with pytest.raises(FrozenTableLoadError, match="twice") as err:
+            FrozenTable.load(sink.getvalue())
+        assert err.value.offset == 28 + 16  # header, then the first entry
+
     def test_trailing_garbage_rejected(self):
-        table = build_frozen(NGramCounts(), CacheTableConfig(1, 1, 4, 4))
+        table = empty_table(CacheTableConfig(1, 1, 4, 4))
         sink = io.BytesIO()
         table.save(sink)
         with pytest.raises(FrozenTableLoadError):
@@ -175,4 +194,28 @@ def test_top_k_matches_naive_sorter(seed):
     expected = naive_frozen_map(docs, ll, fl, lc, fc)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     # Leader storage order is frequency-descending with lexicographic ties.
+    assert list(table.entries) == list(expected)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_wide_ids_and_long_windows_match_naive_sorter(seed):
+    """Ids up to 2**32 - 1 and windows of up to 8 tokens: the packed window
+    keys outgrow int64, so counting re-ranks them (never, once late, or
+    before every column, depending on the largest id)."""
+    rng = random.Random(1000 + seed)
+    ll, fl = 1 + seed % 4, 1 + seed // 4 % 4
+    lc, fc = rng.randint(1, 8), rng.randint(1, 4)
+    top = rng.choice([5, 2**16, 2**21, 2**32 - 1])
+    alphabet = [0, top] + [rng.randrange(top) for _ in range(rng.randint(0, 2))]
+    motif = [rng.choice(alphabet) for _ in range(ll + fl + 2)]
+    docs = []
+    for _ in range(rng.randint(1, 8)):  # empty, short and repetitive documents
+        doc: list[int] = []
+        for _ in range(rng.randint(0, 4)):
+            doc.extend(motif if rng.random() < 0.5 else rng.choices(alphabet, k=rng.randint(0, 5)))
+        docs.append(doc)
+    tcfg = CacheTableConfig(ll, fl, lc, fc)
+    table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+    expected = naive_frozen_map(docs, ll, fl, lc, fc)
+    assert {k: list(v) for k, v in table.entries.items()} == expected
     assert list(table.entries) == list(expected)
