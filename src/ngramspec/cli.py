@@ -5,7 +5,7 @@ Benchmarks are model-free: a task document is split in half, the first half
 is the prompt, and a deterministic verifier produces the continuation (a
 replay oracle replays the second half; a k-gram verifier is trained on the
 full task documents).  State is reset between tasks, so every command is
-deterministic given its inputs and seed.
+deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,7 +25,6 @@ from .decode_loop import (
     DecodeState,
     KGramVerifier,
     ReplayOracle,
-    RunMetrics,
     Verifier,
     reset,
     run_decode,
@@ -135,7 +134,6 @@ class RunConfig:
     verifier: str = "kgram"
     kgram_order: int = 3
     max_new_tokens: int = 128
-    seed: int = 0
 
     def validate(self) -> None:
         self.table_config()
@@ -155,252 +153,78 @@ class RunConfig:
     def draft_config(self) -> DraftConfig:
         return DraftConfig(tdl=self.tdl, crt=self.crt)
 
-    def as_dict(self) -> dict:
-        return {
-            "ll": self.ll,
-            "fl": self.fl,
-            "lc": self.lc,
-            "fc": self.fc,
-            "tdl": self.tdl,
-            "crt": self.crt,
-            "tokenizer": self.tokenizer,
-            "verifier": self.verifier,
-            "kgram_order": self.kgram_order,
-            "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-        }
-
 
 @dataclass
-class TaskResult:
-    name: str
-    steps: int
-    emitted: int
-    wall_s: float
-    metrics: RunMetrics
+class Report:
+    """One command's results: the effective config, rows of one ``kind``
+    (``task``, ``cell`` or ``wiring``) keyed by their JSON/CSV names, and an
+    optional closing JSON line (``aggregate`` or ``summary``).
 
-    @property
-    def mat(self) -> float:
-        return self.emitted / self.steps if self.steps else 0.0
-
-
-@dataclass
-class BenchReport:
-    """Per-task results plus aggregates recomputable from the task rows."""
+    JSON and CSV render every report alike; only the text layout depends on
+    the row kind.
+    """
 
     config: dict
-    mode: str
-    tasks: list[TaskResult] = field(default_factory=list)
-
-    @property
-    def steps(self) -> int:
-        return sum(t.steps for t in self.tasks)
-
-    @property
-    def emitted(self) -> int:
-        return sum(t.emitted for t in self.tasks)
-
-    @property
-    def mat(self) -> float:
-        return self.emitted / self.steps if self.steps else 0.0
-
-    @property
-    def wall_s(self) -> float:
-        return sum(t.wall_s for t in self.tasks)
-
-    @property
-    def tokens_per_sec(self) -> float:
-        return self.emitted / self.wall_s if self.wall_s > 0 else 0.0
-
-    def to_text(self) -> str:
-        lines = [f"# config: {json.dumps(self.config, sort_keys=True)}"]
-        lines.append(f"{'task':<24}{'steps':>8}{'tokens':>8}{'mat':>8}{'wall_s':>10}")
-        for t in self.tasks:
-            lines.append(
-                f"{t.name:<24}{t.steps:>8}{t.emitted:>8}{t.mat:>8.3f}{t.wall_s:>10.4f}"
-            )
-        lines.append(
-            f"{'aggregate':<24}{self.steps:>8}{self.emitted:>8}{self.mat:>8.3f}"
-            f"{self.wall_s:>10.4f}"
-        )
-        lines.append(
-            f"# mode={self.mode} speedup_proxy={self.mat:.3f} "
-            f"tokens_per_sec={self.tokens_per_sec:.1f}"
-        )
-        return "\n".join(lines)
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "config", "mode": self.mode, **self.config}, sort_keys=True)]
-        for t in self.tasks:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "task",
-                        "task": t.name,
-                        "steps": t.steps,
-                        "emitted": t.emitted,
-                        "mat": t.mat,
-                        "wall_s": t.wall_s,
-                        "step_log": [
-                            {
-                                "drafted": m.drafted,
-                                "accepted": m.accepted,
-                                "emitted": m.emitted,
-                                "longest_branch": m.longest_branch,
-                            }
-                            for m in t.metrics.step_log
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "kind": "aggregate",
-                    "steps": self.steps,
-                    "emitted": self.emitted,
-                    "mat": self.mat,
-                    "speedup_proxy": self.mat,
-                    "wall_s": self.wall_s,
-                    "tokens_per_sec": self.tokens_per_sec,
-                },
-                sort_keys=True,
-            )
-        )
-        return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        lines = ["task,steps,emitted,mat,wall_s"]
-        for t in self.tasks:
-            lines.append(f"{t.name},{t.steps},{t.emitted},{t.mat:.6f},{t.wall_s:.6f}")
-        lines.append(f"AGGREGATE,{self.steps},{self.emitted},{self.mat:.6f},{self.wall_s:.6f}")
-        return "\n".join(lines)
+    kind: str
+    rows: list[dict]
+    closing: dict | None = None
 
     def render(self, fmt: str) -> str:
         if fmt == "text":
-            return self.to_text()
+            config_line = f"# config: {json.dumps(self.config, sort_keys=True)}"
+            return "\n".join([config_line, *_TEXT_LAYOUTS[self.kind](self)])
         if fmt == "json":
-            return self.to_jsonl()
+            lines = [{"kind": "config", **self.config}]
+            lines += [{"kind": self.kind, **row} for row in self.rows]
+            lines += [self.closing] if self.closing else []
+            # Dataclass values (a task's StepMetrics) render as their fields.
+            return "\n".join(json.dumps(line, sort_keys=True, default=asdict) for line in lines)
         if fmt == "csv":
-            return self.to_csv()
+            # Every non-list key is a column; an aggregate closes the table.
+            columns = [key for key, value in self.rows[0].items() if not isinstance(value, list)]
+            rows = list(self.rows)
+            if self.closing and self.closing["kind"] == "aggregate":
+                rows.append({**self.closing, columns[0]: "AGGREGATE"})
+            lines = [",".join(columns)]
+            lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
+            return "\n".join(lines)
         raise ValueError(f"unknown format {fmt!r}")
 
 
-@dataclass
-class SweepRow:
-    ll: int
-    fl: int
-    mat: float
-    tokens_per_step: float
+def _csv_cell(value: object) -> str:
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-@dataclass
-class SweepReport:
-    config: dict
-    rows: list[SweepRow]
-
-    @property
-    def ll1_attains_max(self) -> bool:
-        if not self.rows:
-            return False
-        best = max(row.mat for row in self.rows)
-        return any(row.ll == 1 and row.mat == best for row in self.rows)
-
-    def to_csv(self) -> str:
-        lines = ["ll,fl,mat,tokens_per_step"]
-        lines.extend(
-            f"{r.ll},{r.fl},{r.mat:.6f},{r.tokens_per_step:.6f}" for r in self.rows
-        )
-        return "\n".join(lines)
-
-    def to_text(self) -> str:
-        lines = [f"# config: {json.dumps(self.config, sort_keys=True)}", self.to_csv()]
-        lines.append(f"# ll=1 attains grid max: {self.ll1_attains_max}")
-        return "\n".join(lines)
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "config", **self.config}, sort_keys=True)]
-        for r in self.rows:
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "cell",
-                        "ll": r.ll,
-                        "fl": r.fl,
-                        "mat": r.mat,
-                        "tokens_per_step": r.tokens_per_step,
-                    },
-                    sort_keys=True,
-                )
-            )
+def _bench_text(report: Report) -> list[str]:
+    agg = report.closing
+    lines = [f"{'task':<24}{'steps':>8}{'tokens':>8}{'mat':>8}{'wall_s':>10}"]
+    for row in [*report.rows, {**agg, "task": "aggregate"}]:
         lines.append(
-            json.dumps(
-                {"kind": "summary", "ll1_attains_max": self.ll1_attains_max},
-                sort_keys=True,
-            )
+            f"{row['task']:<24}{row['steps']:>8}{row['emitted']:>8}{row['mat']:>8.3f}"
+            f"{row['wall_s']:>10.4f}"
         )
-        return "\n".join(lines)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "text":
-            return self.to_text()
-        if fmt == "json":
-            return self.to_jsonl()
-        raise ValueError(f"unknown format {fmt!r}")
+    lines.append(
+        f"# mode={report.config['mode']} speedup_proxy={agg['speedup_proxy']:.3f} "
+        f"tokens_per_sec={agg['tokens_per_sec']:.1f}"
+    )
+    return lines
 
 
-@dataclass
-class AblateReport:
-    config: dict
-    runs: dict[str, BenchReport]
+def _sweep_text(report: Report) -> list[str]:
+    return [report.render("csv"), f"# ll=1 attains grid max: {report.closing['ll1_attains_max']}"]
 
-    def to_text(self) -> str:
-        lines = [f"# config: {json.dumps(self.config, sort_keys=True)}"]
-        lines.append(f"{'wiring':<16}{'steps':>8}{'tokens':>8}{'mat':>8}{'tok/s':>10}")
-        for mode in MODES:
-            rep = self.runs[mode]
-            lines.append(
-                f"{mode:<16}{rep.steps:>8}{rep.emitted:>8}{rep.mat:>8.3f}"
-                f"{rep.tokens_per_sec:>10.1f}"
-            )
-        return "\n".join(lines)
 
-    def to_csv(self) -> str:
-        lines = ["wiring,steps,emitted,mat"]
-        for mode in MODES:
-            rep = self.runs[mode]
-            lines.append(f"{mode},{rep.steps},{rep.emitted},{rep.mat:.6f}")
-        return "\n".join(lines)
+def _ablate_text(report: Report) -> list[str]:
+    lines = [f"{'wiring':<16}{'steps':>8}{'tokens':>8}{'mat':>8}{'tok/s':>10}"]
+    for row in report.rows:
+        lines.append(
+            f"{row['wiring']:<16}{row['steps']:>8}{row['emitted']:>8}{row['mat']:>8.3f}"
+            f"{row['tokens_per_sec']:>10.1f}"
+        )
+    return lines
 
-    def to_jsonl(self) -> str:
-        lines = [json.dumps({"kind": "config", **self.config}, sort_keys=True)]
-        for mode in MODES:
-            rep = self.runs[mode]
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "wiring",
-                        "wiring": mode,
-                        "steps": rep.steps,
-                        "emitted": rep.emitted,
-                        "mat": rep.mat,
-                    },
-                    sort_keys=True,
-                )
-            )
-        return "\n".join(lines)
 
-    def render(self, fmt: str) -> str:
-        if fmt == "text":
-            return self.to_text()
-        if fmt == "csv":
-            return self.to_csv()
-        if fmt == "json":
-            return self.to_jsonl()
-        raise ValueError(f"unknown format {fmt!r}")
+_TEXT_LAYOUTS = {"task": _bench_text, "cell": _sweep_text, "wiring": _ablate_text}
 
 
 def _split_task(doc: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -415,8 +239,9 @@ def run_bench(
     frozen: FrozenTable | None = None,
     mode: str = "dual",
     task_names: Sequence[str] | None = None,
-) -> BenchReport:
-    """Run every task document through the decode loop under one wiring.
+) -> Report:
+    """Run every task document through the decode loop under one wiring:
+    one ``task`` row per document and an ``aggregate`` closing line.
 
     mode selects the table wiring: "dual" (both tables), "dynamic" (no
     frozen), "frozen" (dynamic never seeded or updated).  One state is
@@ -442,7 +267,7 @@ def run_bench(
         frozen=frozen if mode in ("dual", "frozen") else None,
         dynamic_enabled=(mode != "frozen"),
     )
-    report = BenchReport(config={**cfg.as_dict(), "mode": mode}, mode=mode)
+    rows = []
     for name, doc in zip(names, docs):
         prompt, target = _split_task(doc)
         verifier = shared or ReplayOracle(len(prompt), target, EOS_TOKEN)
@@ -450,16 +275,30 @@ def run_bench(
         t0 = time.perf_counter()
         _, metrics = run_decode(state, prompt, verifier, cfg.max_new_tokens)
         wall = time.perf_counter() - t0
-        report.tasks.append(
-            TaskResult(
-                name=name,
-                steps=metrics.steps,
-                emitted=metrics.total_emitted,
-                wall_s=wall,
-                metrics=metrics,
-            )
+        rows.append(
+            {
+                "task": name,
+                "steps": metrics.steps,
+                "emitted": metrics.total_emitted,
+                "mat": metrics.mat,
+                "wall_s": wall,
+                "step_log": list(metrics.step_log),
+            }
         )
-    return report
+    steps = sum(row["steps"] for row in rows)
+    emitted = sum(row["emitted"] for row in rows)
+    wall_s = sum(row["wall_s"] for row in rows)
+    mat = emitted / steps
+    aggregate = {
+        "kind": "aggregate",
+        "steps": steps,
+        "emitted": emitted,
+        "mat": mat,
+        "speedup_proxy": mat,
+        "wall_s": wall_s,
+        "tokens_per_sec": emitted / wall_s if wall_s > 0 else 0.0,
+    }
+    return Report({**asdict(cfg), "mode": mode}, "task", rows, aggregate)
 
 
 def _build_frozen_from_texts(
@@ -549,7 +388,7 @@ def cmd_bench(
     table_path: str | Path | None = None,
     corpus_paths: Sequence[str | Path] | None = None,
     doc_mode: str = "line",
-) -> BenchReport:
+) -> Report:
     """Benchmark the decode loop over prompt documents (dual wiring; the
     dynamic table alone when no frozen table is supplied)."""
     cfg.validate()
@@ -564,8 +403,9 @@ def cmd_sweep(
     prompt_paths: Sequence[str | Path],
     corpus_paths: Sequence[str | Path] | None = None,
     doc_mode: str = "line",
-) -> SweepReport:
-    """Benchmark every (ll, fl) grid cell.
+) -> Report:
+    """Benchmark every (ll, fl) grid cell: one ``cell`` row each, and a
+    ``summary`` line saying whether ``ll=1`` attains the grid maximum.
 
     A frozen table is rebuilt from the corpus per cell (a serialized table
     pins one shape, so sweeps take a corpus instead of a table); without a
@@ -575,7 +415,7 @@ def cmd_sweep(
         raise ValueError("sweep needs at least one ll value and one fl value")
     prompt_texts = read_documents(prompt_paths, doc_mode)
     corpus_texts = read_documents(corpus_paths, doc_mode) if corpus_paths else None
-    rows: list[SweepRow] = []
+    rows = []
     for ll in ll_values:
         for fl in fl_values:
             cell = replace(cfg, ll=ll, fl=fl)
@@ -587,9 +427,13 @@ def cmd_sweep(
                     corpus_texts, cell.table_config(), cell.tokenizer, vocab
                 )
             docs = [tokenize(text, cell.tokenizer, vocab) for text in prompt_texts]
-            rep = run_bench(cell, [d for d in docs if d], frozen, mode="dual")
-            rows.append(SweepRow(ll=ll, fl=fl, mat=rep.mat, tokens_per_step=rep.mat))
-    return SweepReport(config={**cfg.as_dict(), "ll": list(ll_values), "fl": list(fl_values)}, rows=rows)
+            mat = run_bench(cell, [d for d in docs if d], frozen, mode="dual").closing["mat"]
+            rows.append({"ll": ll, "fl": fl, "mat": mat, "tokens_per_step": mat})
+    best = max(row["mat"] for row in rows)
+    ll1_attains_max = any(row["ll"] == 1 and row["mat"] == best for row in rows)
+    summary = {"kind": "summary", "ll1_attains_max": ll1_attains_max}
+    config = {**asdict(cfg), "ll": list(ll_values), "fl": list(fl_values)}
+    return Report(config, "cell", rows, summary)
 
 
 def cmd_ablate(
@@ -598,15 +442,19 @@ def cmd_ablate(
     table_path: str | Path | None = None,
     corpus_paths: Sequence[str | Path] | None = None,
     doc_mode: str = "line",
-) -> AblateReport:
-    """Three benchmark runs differing only in table wiring:
-    dual, dynamic-only, frozen-only."""
+) -> Report:
+    """Three benchmark runs differing only in table wiring: one ``wiring``
+    row each for dual, dynamic-only and frozen-only, from its aggregate."""
     cfg.validate()
     if table_path is None and not corpus_paths:
         raise ValueError("ablation requires a frozen table (--table or --corpus)")
     docs, frozen = _load_tables_and_tasks(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
-    runs = {mode: run_bench(cfg, docs, frozen, mode=mode) for mode in MODES}
-    return AblateReport(config=cfg.as_dict(), runs=runs)
+    rows = []
+    for mode in MODES:
+        agg = run_bench(cfg, docs, frozen, mode=mode).closing
+        row = {key: agg[key] for key in ("steps", "emitted", "mat", "tokens_per_sec")}
+        rows.append({"wiring": mode, **row})
+    return Report(asdict(cfg), "wiring", rows)
 
 
 def parse_int_list(spec: str) -> list[int]:
@@ -651,7 +499,9 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-new-tokens", type=int, default=128)
     p.add_argument("--prompts", nargs="+", required=True, help="prompt document file(s)")
     p.add_argument("--table", default=None, help="frozen table file (CBFT)")
-    p.add_argument("--corpus", nargs="*", default=None, help="corpus file(s) to build a frozen table from")
+    p.add_argument(
+        "--corpus", nargs="+", default=None, help="corpus file(s) to build a frozen table from"
+    )
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
 
@@ -659,23 +509,11 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 def _add_common_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tokenizer", choices=("whitespace", "byte"), default="whitespace")
     p.add_argument("--doc-mode", choices=("line", "file"), default="line")
-    p.add_argument("--seed", type=int, default=0)
 
 
-def _config_from_args(args: argparse.Namespace, ll: int | None = None, fl: int | None = None) -> RunConfig:
-    cfg = RunConfig(
-        ll=ll if ll is not None else args.ll,
-        fl=fl if fl is not None else args.fl,
-        lc=args.lc,
-        fc=args.fc,
-        tdl=args.tdl,
-        crt=args.crt,
-        tokenizer=args.tokenizer,
-        verifier=args.verifier,
-        kgram_order=args.kgram_order,
-        max_new_tokens=args.max_new_tokens,
-        seed=args.seed,
-    )
+def _config_from_args(args: argparse.Namespace, **shape: int) -> RunConfig:
+    values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    cfg = RunConfig(**{**values, **shape})
     cfg.validate()
     return cfg
 
@@ -692,6 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_build.add_argument("corpus", nargs="+", help="corpus text file(s)")
     p_build.add_argument("--out", required=True, help="output table path")
     p_build.add_argument("--sample-fraction", type=float, default=1.0)
+    p_build.add_argument("--seed", type=int, default=0, help="document sampling seed")
     _add_table_shape_args(p_build)
     _add_common_args(p_build)
 

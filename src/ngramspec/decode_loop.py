@@ -16,6 +16,7 @@ once over ``pending ++ nodes`` with ``draft_tree.attention_mask``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
@@ -74,25 +75,20 @@ class KGramVerifier:
             raise ValueError("order must be at least 1")
         self.order = order
         self.eos_token = eos_token
-        table: dict[tuple[int, ...], dict[int, int]] = {}
-        global_counts: dict[int, int] = {}
+        global_counts: Counter[int] = Counter()
+        windows: Counter[tuple[int, ...]] = Counter()
         for doc in docs:
             tokens = tuple(doc)
-            for token in tokens:
-                global_counts[token] = global_counts.get(token, 0) + 1
-            for i in range(len(tokens) - order):
-                key = tokens[i : i + order]
-                nxt = tokens[i + order]
-                slot = table.setdefault(key, {})
-                slot[nxt] = slot.get(nxt, 0) + 1
+            global_counts.update(tokens)
+            windows.update(zip(*(tokens[i:] for i in range(order + 1))))
         if not global_counts:
             raise ValueError("training corpus contains no tokens")
-        # Freeze the argmax per context so lookups are O(1) and total.
-        self._best = {
-            key: min(slot.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-            for key, slot in table.items()
-        }
-        self._fallback = min(global_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        # Freeze the argmax per context so lookups are O(1) and total: the
+        # first window of a context in (-count, next token) order wins.
+        self._best: dict[tuple[int, ...], int] = {}
+        for window, _ in sorted(windows.items(), key=lambda kv: (-kv[1], kv[0][-1])):
+            self._best.setdefault(window[:-1], window[-1])
+        self._fallback = min(global_counts, key=lambda t: (-global_counts[t], t))
         self.vocab_size: int | None = max(global_counts) + 1
 
     def greedy_next(self, prefix: Sequence[int]) -> int:

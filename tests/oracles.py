@@ -235,6 +235,23 @@ def linear_accept(
         at = match
 
 
+def brute_kgram_next(docs: Sequence[Sequence[int]], order: int, prefix: Sequence[int]) -> int:
+    """The k-gram verifier's next token, by rescanning every document: the
+    most frequent token after the last ``order`` tokens of ``prefix`` (ties
+    to the smallest id), else the most frequent token overall."""
+    after: dict[int, int] = {}
+    overall: dict[int, int] = {}
+    context = list(prefix[-order:]) if len(prefix) >= order else None
+    for doc in docs:
+        for i, token in enumerate(doc):
+            overall[token] = overall.get(token, 0) + 1
+            if context is not None and i >= order and list(doc[i - order : i]) == context:
+                after[token] = after.get(token, 0) + 1
+    counts = after or overall
+    best = max(counts.values())
+    return min(token for token, count in counts.items() if count == best)
+
+
 def greedy_reference(
     prompt: Sequence[int],
     verifier,

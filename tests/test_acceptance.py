@@ -141,8 +141,8 @@ def test_step_bound():
     frozen = build_frozen(count_ngrams(bg, cfg.table_config()), cfg.table_config())
     for mode in ("dual", "dynamic", "frozen"):
         report = run_bench(cfg, ev, frozen, mode=mode)
-        for task in report.tasks:
-            for step in task.metrics.step_log:
+        for task in report.rows:
+            for step in task["step_log"]:
                 steps_seen += 1
                 if not (1 <= step.emitted <= 1 + step.longest_branch or (step.longest_branch == 0 and step.emitted == 1)):
                     violations += 1
@@ -185,7 +185,7 @@ def _trend_reports():
     cfg = RunConfig(**TREND_CONFIG, verifier="kgram", kgram_order=3, max_new_tokens=200)
     frozen = build_frozen(count_ngrams(bg, cfg.table_config()), cfg.table_config())
     engine = {
-        mode: run_bench(cfg, ev, frozen, mode=mode) for mode in ("dual", "dynamic", "frozen")
+        mode: run_bench(cfg, ev, frozen, mode=mode).closing for mode in ("dual", "dynamic", "frozen")
     }
     fmap = naive_frozen_map(bg, cfg.ll, cfg.fl, cfg.lc, cfg.fc)
     verifier = KGramVerifier(3, ev)
@@ -215,10 +215,10 @@ def test_trend_dual_table_ordering():
     ok = True
     details = []
     for mode in ("dual", "dynamic", "frozen"):
-        got = (engine[mode].steps, engine[mode].emitted)
+        got = (engine[mode]["steps"], engine[mode]["emitted"])
         ok = ok and got == TREND_PINNED[mode] == simulated[mode]
-        details.append(f"{mode}: mat={engine[mode].mat:.4f} steps/tokens={got}")
-    mats = {mode: engine[mode].mat for mode in engine}
+        details.append(f"{mode}: mat={engine[mode]['mat']:.4f} steps/tokens={got}")
+    mats = {mode: engine[mode]["mat"] for mode in engine}
     ok = ok and mats["dual"] > mats["dynamic"] > mats["frozen"] >= 1.0
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 120.0
@@ -237,11 +237,11 @@ def test_sweep_grid_reported():
     (tmp / "ev.txt").write_text("\n".join(eval_texts()), encoding="utf-8")
     cfg = RunConfig(**{**TREND_CONFIG, "ll": 1, "fl": 1}, verifier="kgram", kgram_order=3, max_new_tokens=200)
     report = cmd_sweep(cfg, [1, 2, 3], [1, 2, 3, 4, 5], [tmp / "ev.txt"], corpus_paths=[tmp / "bg.txt"])
-    print(report.to_csv())
-    print(f"REPORT: ll=1 attains grid max: {report.ll1_attains_max}")
-    cells = {(r.ll, r.fl) for r in report.rows}
+    print(report.render("csv"))
+    print(f"REPORT: ll=1 attains grid max: {report.closing['ll1_attains_max']}")
+    cells = {(r["ll"], r["fl"]) for r in report.rows}
     ok = cells == {(ll, fl) for ll in (1, 2, 3) for fl in (1, 2, 3, 4, 5)}
-    ok = ok and all(r.mat >= 1.0 for r in report.rows)
+    ok = ok and all(r["mat"] >= 1.0 for r in report.rows)
     _gate("sweep-grid-reported", ok, f"{len(report.rows)} cells")
 
 

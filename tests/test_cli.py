@@ -9,7 +9,6 @@ import pytest
 from ngramspec.cache_table import CacheTableConfig
 from ngramspec.cli import (
     EOS_TOKEN,
-    BenchReport,
     RunConfig,
     Vocab,
     cmd_ablate,
@@ -157,34 +156,35 @@ class TestBench:
         prompts = tmp_path / "p.txt"
         prompts.write_text(distinct_doc() + "\n", encoding="utf-8")
         cfg = RunConfig(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=2, verifier="replay", max_new_tokens=12)
-        report = cmd_bench(cfg, [prompts])
-        assert report.mat == 1.0
-        assert report.steps == report.emitted == 12
+        agg = cmd_bench(cfg, [prompts]).closing
+        assert agg["mat"] == 1.0
+        assert agg["steps"] == agg["emitted"] == 12
 
     def test_replay_matches_simulator(self, tmp_path):
         doc_text = eval_texts(1)[0]
         prompts = tmp_path / "p.txt"
         prompts.write_text(doc_text + "\n", encoding="utf-8")
         cfg = RunConfig(ll=1, fl=3, lc=256, fc=16, tdl=24, crt=4, verifier="replay", max_new_tokens=60)
-        report = cmd_bench(cfg, [prompts])
+        agg = cmd_bench(cfg, [prompts]).closing
 
         doc = tokenize(doc_text, "whitespace", Vocab())
         cut = max(1, len(doc) // 2)
         oracle = ReplayOracle(cut, doc[cut:], EOS_TOKEN)
         sim = SimDecoder(1, 3, 256, 16, 24, 4)
         _, steps, emitted = sim.run(doc[:cut], oracle, 60)
-        assert (report.steps, report.emitted) == (steps, emitted)
+        assert (agg["steps"], agg["emitted"]) == (steps, emitted)
 
     def test_aggregate_recomputable_from_rows(self, tmp_path):
         prompts = tmp_path / "p.txt"
         prompts.write_text("\n".join(eval_texts(3)), encoding="utf-8")
         cfg = RunConfig(lc=1024, fc=16, tdl=24, crt=4, max_new_tokens=50)
         report = cmd_bench(cfg, [prompts])
-        assert report.steps == sum(t.steps for t in report.tasks)
-        assert report.emitted == sum(t.emitted for t in report.tasks)
-        assert report.mat == report.emitted / report.steps
-        for task in report.tasks:
-            assert task.emitted == sum(m.emitted for m in task.metrics.step_log)
+        agg = report.closing
+        assert agg["steps"] == sum(t["steps"] for t in report.rows)
+        assert agg["emitted"] == sum(t["emitted"] for t in report.rows)
+        assert agg["mat"] == agg["emitted"] / agg["steps"]
+        for task in report.rows:
+            assert task["emitted"] == sum(m.emitted for m in task["step_log"])
 
     def test_table_shape_mismatch_rejected(self, tmp_path):
         src = tmp_path / "c.txt"
@@ -214,7 +214,7 @@ class TestSweep:
         sweep = cmd_sweep(cfg, [1], [3], [prompts], corpus_paths=[corpus])
         bench = cmd_bench(cfg, [prompts], corpus_paths=[corpus])
         assert len(sweep.rows) == 1
-        assert sweep.rows[0].mat == bench.mat
+        assert sweep.rows[0]["mat"] == bench.closing["mat"]
 
     def test_grid_rows_and_lower_bound(self, tmp_path):
         prompts = tmp_path / "p.txt"
@@ -222,11 +222,11 @@ class TestSweep:
         cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=30)
         sweep = cmd_sweep(cfg, [1, 2, 3], [1, 2, 3], [prompts])
         assert len(sweep.rows) == 9
-        assert [(r.ll, r.fl) for r in sweep.rows] == [
+        assert [(r["ll"], r["fl"]) for r in sweep.rows] == [
             (ll, fl) for ll in (1, 2, 3) for fl in (1, 2, 3)
         ]
-        assert all(r.mat >= 1.0 for r in sweep.rows)
-        header, *rows = sweep.to_csv().splitlines()
+        assert all(r["mat"] >= 1.0 for r in sweep.rows)
+        header, *rows = sweep.render("csv").splitlines()
         assert header == "ll,fl,mat,tokens_per_step"
         assert len(rows) == 9
 
@@ -251,7 +251,8 @@ class TestAblate:
         prompts.write_text(" ".join(f"z{i}" for i in range(30)), encoding="utf-8")
         cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, verifier="replay", max_new_tokens=15)
         report = cmd_ablate(cfg, [prompts], corpus_paths=[corpus])
-        assert report.runs["frozen"].mat == 1.0
+        assert [r["wiring"] for r in report.rows] == ["dual", "dynamic", "frozen"]
+        assert report.rows[2]["mat"] == 1.0
 
     def test_dual_row_equals_plain_bench(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -261,8 +262,9 @@ class TestAblate:
         cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=40)
         ablate = cmd_ablate(cfg, [prompts], corpus_paths=[corpus])
         bench = cmd_bench(cfg, [prompts], corpus_paths=[corpus])
-        dual = ablate.runs["dual"]
-        assert (dual.steps, dual.emitted) == (bench.steps, bench.emitted)
+        dual, agg = ablate.rows[0], bench.closing
+        assert dual["wiring"] == "dual"
+        assert (dual["steps"], dual["emitted"]) == (agg["steps"], agg["emitted"])
 
     def test_report_has_three_rows(self, tmp_path):
         corpus = tmp_path / "c.txt"
@@ -271,8 +273,8 @@ class TestAblate:
         prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
         cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=20)
         report = cmd_ablate(cfg, [prompts], corpus_paths=[corpus])
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "wiring,steps,emitted,mat"
+        lines = report.render("csv").splitlines()
+        assert lines[0] == "wiring,steps,emitted,mat,tokens_per_sec"
         assert [line.split(",")[0] for line in lines[1:]] == ["dual", "dynamic", "frozen"]
 
 
@@ -374,6 +376,26 @@ class TestMain:
         out = capsys.readouterr().out
         assert "dual" in out and "dynamic" in out and "frozen" in out
 
+    def test_seed_is_build_table_only(self, tmp_path, capsys):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("a b c", encoding="utf-8")
+        for command in ("bench", "sweep", "ablate"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--prompts", str(prompts), "--seed", "1"])
+            assert exit_info.value.code == 2
+            assert "--seed" in capsys.readouterr().err
+
+    def test_corpus_without_files_exits_2(self, tmp_path, capsys):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("a b c", encoding="utf-8")
+        for command in ("bench", "sweep"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, "--prompts", str(prompts), "--corpus"])
+            assert exit_info.value.code == 2
+            captured = capsys.readouterr()
+            assert "--corpus" in captured.err
+            assert captured.out == ""  # no report was printed
+
     def test_sweep_with_table_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
         corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
@@ -451,7 +473,7 @@ class TestMain:
 
 
 def test_bench_report_render_dispatch():
-    report = BenchReport(config={"x": 1}, mode="dual")
+    report = run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]])
     for fmt in ("text", "json", "csv"):
         assert isinstance(report.render(fmt), str)
     with pytest.raises(ValueError):

@@ -24,7 +24,7 @@ from ngramspec.decode_loop import (
 from ngramspec.draft_tree import DraftConfig, build_draft_tree
 from ngramspec.frozen_table import build_frozen, count_ngrams
 
-from oracles import SimDecoder, greedy_reference, naive_frozen_map
+from oracles import SimDecoder, brute_kgram_next, greedy_reference, naive_frozen_map
 
 EOS = 0xFFFF_FFFF
 
@@ -410,6 +410,24 @@ def test_losslessness_property(seed, order, max_new):
     assert out == greedy_reference(prompt, verifier, max_new)
     assert metrics.mat * metrics.steps == pytest.approx(metrics.total_emitted)
     assert sum(s.emitted for s in metrics.step_log) == metrics.total_emitted
+
+
+@given(
+    docs=st.lists(st.lists(st.integers(0, 4), max_size=25), min_size=1, max_size=4).filter(
+        lambda docs: any(docs)
+    ),
+    order=st.integers(1, 4),
+    probe=st.lists(st.integers(0, 5), max_size=8),
+)
+@settings(max_examples=200, deadline=None)
+def test_kgram_verifier_matches_rescan(docs, order, probe):
+    """Every prefix of every document, and of a probe that may hold unseen
+    tokens and contexts, gets the token a full rescan of the documents gives."""
+    verifier = KGramVerifier(order, docs)
+    for seq in [*docs, probe]:
+        for end in range(len(seq) + 1):
+            prefix = seq[:end]
+            assert verifier.greedy_next(prefix) == brute_kgram_next(docs, order, prefix)
 
 
 def test_determinism_full_run():
