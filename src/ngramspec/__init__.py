@@ -10,13 +10,9 @@ use.  Output is always token-identical to plain greedy decoding.
 
 from .cache_table import (
     CacheTableConfig,
-    EvictedFollower,
-    EvictedLeader,
-    Eviction,
     Follower,
     Leader,
     LruCacheTable,
-    TokenId,
 )
 from .decode_loop import (
     DecodeState,
@@ -54,9 +50,6 @@ __all__ = [
     "DraftConfig",
     "DraftNode",
     "DraftTree",
-    "EvictedFollower",
-    "EvictedLeader",
-    "Eviction",
     "Follower",
     "FrozenTable",
     "FrozenTableLoadError",
@@ -67,7 +60,6 @@ __all__ = [
     "ReplayOracle",
     "RunMetrics",
     "StepMetrics",
-    "TokenId",
     "Verifier",
     "accept",
     "attention_mask",

@@ -15,7 +15,6 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
-TokenId = int
 Leader = tuple[int, ...]
 Follower = tuple[int, ...]
 
@@ -39,25 +38,6 @@ class CacheTableConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class EvictedLeader:
-    """A leader (and its entire follower list) dropped by the LRU policy."""
-
-    leader: Leader
-    followers: tuple[Follower, ...]
-
-
-@dataclass(frozen=True)
-class EvictedFollower:
-    """A single follower dropped from one leader's list by the LRU policy."""
-
-    leader: Leader
-    follower: Follower
-
-
-Eviction = EvictedLeader | EvictedFollower
 
 
 class LruCacheTable:
@@ -100,12 +80,13 @@ class LruCacheTable:
         self._entries.move_to_end(leader)
         return list(reversed(followers))
 
-    def insert(self, leader: Leader, follower: Follower) -> Eviction | None:
+    def insert(self, leader: Leader, follower: Follower) -> Leader | Follower | None:
         """Record that ``follower`` was observed right after ``leader``.
 
         The follower becomes the leader's most recent entry; re-inserting an
         existing follower moves it to the front without duplication.  Returns
-        the eviction forced by the capacity bounds, if any.
+        the key the capacity bounds dropped, if any: the least recent leader
+        (its followers go with it) or this leader's least recent follower.
         """
         if len(leader) != self._ll:
             raise ValueError(
@@ -123,27 +104,10 @@ class LruCacheTable:
                 return None
             followers[follower] = None
             if len(followers) > self._fc:
-                dropped, _ = followers.popitem(last=False)
-                return EvictedFollower(leader=leader, follower=dropped)
+                return followers.popitem(last=False)[0]
             return None
-        evicted: Eviction | None = None
+        dropped = None
         if len(self._entries) >= self._lc:
-            old_leader, old_followers = self._entries.popitem(last=False)
-            evicted = EvictedLeader(leader=old_leader, followers=tuple(old_followers))
+            dropped = self._entries.popitem(last=False)[0]
         self._entries[leader] = OrderedDict({follower: None})
-        return evicted
-
-    def peek(self, leader: Leader) -> list[Follower] | None:
-        """Like :meth:`query` but without any recency side effect.
-
-        Returns ``None`` for an absent leader.  Test/inspection helper.
-        """
-        followers = self._entries.get(leader)
-        if followers is None:
-            return None
-        return list(reversed(followers))
-
-    def snapshot(self) -> list[tuple[Leader, list[Follower]]]:
-        """Full observable state without mutation: leaders in LRU-to-MRU
-        order, each with its followers most-recently-inserted first."""
-        return [(leader, list(reversed(fs))) for leader, fs in self._entries.items()]
+        return dropped

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .cache_table import CacheTableConfig
+from .cache_table import CacheTableConfig, LruCacheTable
 from .decode_loop import (
     DecodeState,
     KGramVerifier,
@@ -203,10 +203,7 @@ def _bench_text(report: Report) -> list[str]:
             f"{row['task']:<24}{row['steps']:>8}{row['emitted']:>8}{row['mat']:>8.3f}"
             f"{row['wall_s']:>10.4f}"
         )
-    lines.append(
-        f"# mode={report.config['mode']} speedup_proxy={agg['speedup_proxy']:.3f} "
-        f"tokens_per_sec={agg['tokens_per_sec']:.1f}"
-    )
+    lines.append(f"# mode={report.config['mode']} tokens_per_sec={agg['tokens_per_sec']:.1f}")
     return lines
 
 
@@ -244,14 +241,19 @@ def run_bench(
     one ``task`` row per document and an ``aggregate`` closing line.
 
     mode selects the table wiring: "dual" (both tables), "dynamic" (no
-    frozen), "frozen" (dynamic never seeded or updated).  One state is
-    reused and reset between tasks.
+    frozen table), "frozen" (no dynamic table).  One state is reused and
+    reset between tasks.
     """
     cfg.validate()
     if mode not in MODES:
         raise ValueError(f"unknown wiring mode {mode!r}")
     if mode == "frozen" and frozen is None:
         raise ValueError("frozen-only wiring requires a frozen table")
+    if frozen is not None and (frozen.config.ll, frozen.config.fl) != (cfg.ll, cfg.fl):
+        raise ValueError(
+            f"table shape ll={frozen.config.ll},fl={frozen.config.fl} does not "
+            f"match configured ll={cfg.ll},fl={cfg.fl}"
+        )
     docs = [list(d) for d in docs if len(d)]
     if not docs:
         raise ValueError("no non-empty task documents")
@@ -261,11 +263,12 @@ def run_bench(
     if cfg.verifier == "kgram":
         shared = KGramVerifier(cfg.kgram_order, docs)
 
-    state = DecodeState.fresh(
-        cfg.table_config(),
+    tcfg = cfg.table_config()
+    state = DecodeState(
+        tcfg,
         cfg.draft_config(),
-        frozen=frozen if mode in ("dual", "frozen") else None,
-        dynamic_enabled=(mode != "frozen"),
+        dynamic=None if mode == "frozen" else LruCacheTable(tcfg),
+        frozen=None if mode == "dynamic" else frozen,
     )
     rows = []
     for name, doc in zip(names, docs):
@@ -288,13 +291,11 @@ def run_bench(
     steps = sum(row["steps"] for row in rows)
     emitted = sum(row["emitted"] for row in rows)
     wall_s = sum(row["wall_s"] for row in rows)
-    mat = emitted / steps
     aggregate = {
         "kind": "aggregate",
         "steps": steps,
         "emitted": emitted,
-        "mat": mat,
-        "speedup_proxy": mat,
+        "mat": emitted / steps,
         "wall_s": wall_s,
         "tokens_per_sec": emitted / wall_s if wall_s > 0 else 0.0,
     }
@@ -310,6 +311,15 @@ def _build_frozen_from_texts(
 
 def _vocab_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".vocab.json")
+
+
+def _sidecar_sha256(sidecar: Path) -> str | None:
+    """The table hash a sidecar was written for; None if it is not a
+    vocabulary file (a stale one vouches for no table)."""
+    try:
+        return Vocab.load(sidecar).table_sha256
+    except ValueError:
+        return None
 
 
 def cmd_build_table(
@@ -357,24 +367,25 @@ def _load_tables_and_tasks(
     if table_path is not None:
         data = Path(table_path).read_bytes()
         frozen = FrozenTable.load(data)
-        if (frozen.config.ll, frozen.config.fl) != (cfg.ll, cfg.fl):
-            raise ValueError(
-                f"table shape ll={frozen.config.ll},fl={frozen.config.fl} does not "
-                f"match configured ll={cfg.ll},fl={cfg.fl}"
-            )
+        sidecar = _vocab_sidecar(table_path)
+        sha256 = hashlib.sha256(data).hexdigest()
         if vocab is not None:
-            sidecar = _vocab_sidecar(table_path)
             if not sidecar.exists():
                 raise ValueError(
                     f"no vocabulary sidecar at {sidecar}; whitespace token ids "
                     "would not match the table"
                 )
             vocab = Vocab.load(sidecar)
-            if vocab.table_sha256 != hashlib.sha256(data).hexdigest():
+            if vocab.table_sha256 != sha256:
                 raise ValueError(
                     f"vocabulary sidecar {sidecar} was written for another table; "
                     "rebuild the table to get matching token ids"
                 )
+        elif sidecar.exists() and _sidecar_sha256(sidecar) == sha256:
+            raise ValueError(
+                f"{table_path} was built with the whitespace tokenizer (its sidecar "
+                f"{sidecar} matches it); byte token ids would not match the table"
+            )
     elif corpus_paths:
         corpus_texts = read_documents(corpus_paths, doc_mode)
         frozen = _build_frozen_from_texts(corpus_texts, cfg.table_config(), cfg.tokenizer, vocab)
@@ -413,22 +424,24 @@ def cmd_sweep(
     """
     if not ll_values or not fl_values:
         raise ValueError("sweep needs at least one ll value and one fl value")
-    prompt_texts = read_documents(prompt_paths, doc_mode)
-    corpus_texts = read_documents(corpus_paths, doc_mode) if corpus_paths else None
+    # Token ids do not depend on (ll, fl): tokenize once, the corpus first,
+    # with one vocabulary, as a single bench run over the same files would.
+    vocab = Vocab() if cfg.tokenizer == "whitespace" else None
+
+    def token_ids(paths: Sequence[str | Path]) -> list[list[int]]:
+        return [tokenize(text, cfg.tokenizer, vocab) for text in read_documents(paths, doc_mode)]
+
+    corpus = token_ids(corpus_paths) if corpus_paths else None
+    docs = token_ids(prompt_paths)
     rows = []
     for ll in ll_values:
         for fl in fl_values:
             cell = replace(cfg, ll=ll, fl=fl)
             cell.validate()
-            vocab = Vocab() if cell.tokenizer == "whitespace" else None
-            frozen = None
-            if corpus_texts is not None:
-                frozen = _build_frozen_from_texts(
-                    corpus_texts, cell.table_config(), cell.tokenizer, vocab
-                )
-            docs = [tokenize(text, cell.tokenizer, vocab) for text in prompt_texts]
-            mat = run_bench(cell, [d for d in docs if d], frozen, mode="dual").closing["mat"]
-            rows.append({"ll": ll, "fl": fl, "mat": mat, "tokens_per_step": mat})
+            tcfg = cell.table_config()
+            frozen = build_frozen(count_ngrams(corpus, tcfg), tcfg) if corpus is not None else None
+            mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
+            rows.append({"ll": ll, "fl": fl, "mat": mat})
     best = max(row["mat"] for row in rows)
     ll1_attains_max = any(row["ll"] == 1 and row["mat"] == best for row in rows)
     summary = {"kind": "summary", "ll1_attains_max": ll1_attains_max}

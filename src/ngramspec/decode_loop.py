@@ -128,20 +128,20 @@ class RunMetrics:
 class DecodeState:
     """Mutable per-task state: tables, committed tokens, pending count.
 
-    ``pending_len`` counts tokens emitted last step that no forward pass has
-    consumed yet; they spend budget out of ``draft_config.tdl``.  With
-    ``dynamic_enabled`` False the dynamic table stays empty (frozen-only
-    wiring for ablations).
+    An absent table is ``None``: no ``frozen`` is dynamic-only wiring, and no
+    ``dynamic`` is frozen-only wiring (for ablations), which drafts from the
+    frozen table alone and never records what is emitted.  ``pending_len``
+    counts tokens emitted last step that no forward pass has consumed yet;
+    they spend budget out of ``draft_config.tdl``.
     """
 
     table_config: CacheTableConfig
     draft_config: DraftConfig
-    dynamic: LruCacheTable
+    dynamic: LruCacheTable | None
     frozen: FrozenTable | None = None
     committed: list[int] = field(default_factory=list)
     pending_len: int = 0
     step_log: list[StepMetrics] = field(default_factory=list)
-    dynamic_enabled: bool = True
 
     @classmethod
     def fresh(
@@ -149,15 +149,9 @@ class DecodeState:
         table_config: CacheTableConfig,
         draft_config: DraftConfig,
         frozen: FrozenTable | None = None,
-        dynamic_enabled: bool = True,
     ) -> "DecodeState":
-        return cls(
-            table_config=table_config,
-            draft_config=draft_config,
-            dynamic=LruCacheTable(table_config),
-            frozen=frozen,
-            dynamic_enabled=dynamic_enabled,
-        )
+        """A state with an empty dynamic table and, optionally, a frozen one."""
+        return cls(table_config, draft_config, LruCacheTable(table_config), frozen)
 
 
 def accept(
@@ -197,9 +191,10 @@ def update_tables(state: DecodeState, window_source: Sequence[int]) -> None:
 
     The source is a whole prompt, or the last ``ll + fl - 1`` tokens
     preceding an emission plus the newly emitted tokens, so each new token
-    terminates exactly one full window.  The frozen table is never written.
+    terminates exactly one full window.  The frozen table is never written,
+    and without a dynamic table nothing is.
     """
-    if not state.dynamic_enabled:
+    if state.dynamic is None:
         return
     ll, fl = state.table_config.ll, state.table_config.fl
     width = ll + fl
@@ -217,40 +212,32 @@ def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
 
 
 def reset(state: DecodeState) -> None:
-    """Fresh task on the same state: empty dynamic table, cleared sequence
-    and metrics.  The frozen table is retained."""
-    state.dynamic = LruCacheTable(state.table_config)
+    """Fresh task on the same state: empty dynamic table (if it has one),
+    cleared sequence and metrics.  The frozen table is retained."""
+    if state.dynamic is not None:
+        state.dynamic = LruCacheTable(state.table_config)
     state.committed = []
     state.pending_len = 0
     state.step_log.clear()
 
 
-def decode_step(
-    state: DecodeState,
-    verifier: Verifier,
-    stop_at_eos: bool = True,
-) -> StepMetrics:
+def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
     """One draft / accept / update cycle.
 
     Appends the accepted path plus the bonus token to the committed sequence
-    (truncating at the first EOS when ``stop_at_eos``), marks the new tokens
-    pending, and feeds them through the sliding-window table update.
+    (truncating at the first EOS), marks the new tokens pending, and feeds
+    them through the sliding-window table update.
     """
     ll, fl = state.table_config.ll, state.table_config.fl
     tree = build_draft_tree(
-        state.committed,
-        state.pending_len,
-        state.dynamic,
-        state.frozen,
-        state.draft_config,
-        state.table_config,
+        state.committed, state.pending_len, state.dynamic, state.frozen, state.draft_config
     )
     accepted, bonus = accept(tree, state.committed, verifier)
 
     emitted = [tree.nodes[i].token for i in accepted]
     emitted.append(bonus)
     eos = verifier.eos_token
-    if stop_at_eos and eos is not None and eos in emitted:
+    if eos is not None and eos in emitted:
         emitted = emitted[: emitted.index(eos) + 1]
 
     window_source = state.committed[-(ll + fl - 1) :] + emitted
@@ -273,7 +260,6 @@ def run_decode(
     prompt: Sequence[int],
     verifier: Verifier,
     max_new_tokens: int,
-    stop_at_eos: bool = True,
 ) -> tuple[list[int], RunMetrics]:
     """Decode a task end to end and report acceptance statistics.
 
@@ -288,9 +274,9 @@ def run_decode(
     eos = verifier.eos_token
     produced = 0
     while produced < max_new_tokens:
-        step = decode_step(state, verifier, stop_at_eos=stop_at_eos)
+        step = decode_step(state, verifier)
         produced += step.emitted
-        if stop_at_eos and eos is not None and state.committed[-1] == eos:
+        if eos is not None and state.committed[-1] == eos:
             break
 
     log = list(state.step_log[base:])
@@ -314,12 +300,7 @@ def run_decode(
     return output, metrics
 
 
-def greedy_decode(
-    prompt: Sequence[int],
-    verifier: Verifier,
-    max_new_tokens: int,
-    stop_at_eos: bool = True,
-) -> list[int]:
+def greedy_decode(prompt: Sequence[int], verifier: Verifier, max_new_tokens: int) -> list[int]:
     """Plain one-token-at-a-time greedy decoding; the baseline speculative
     runs must match token for token."""
     if max_new_tokens < 1:
@@ -331,6 +312,6 @@ def greedy_decode(
         token = verifier.greedy_next(seq)
         seq.append(token)
         out.append(token)
-        if stop_at_eos and eos is not None and token == eos:
+        if eos is not None and token == eos:
             break
     return out

@@ -7,9 +7,10 @@ attention mask).  Each cache follower contributes a linear chain of
 single-token nodes, so branches can be accepted partially; branching happens
 at chain ends.
 
-Construction is a two-phase breadth-first expansion: the dynamic (recency)
-table grows the tree first, then the frozen (corpus-frequency) table extends
-the remaining leaves while the token budget allows.
+Construction is a breadth-first expansion, one phase per table present: the
+dynamic (recency) table grows the tree first, then the frozen
+(corpus-frequency) table extends the leaves it left childless while the token
+budget allows.  An absent table is ``None``, and its phase is skipped.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cache_table import CacheTableConfig, LruCacheTable
+from .cache_table import LruCacheTable
 from .frozen_table import FrozenTable
 
 
@@ -76,20 +77,20 @@ class DraftTree:
 def build_draft_tree(
     context: Sequence[int],
     pending_len: int,
-    dynamic: LruCacheTable,
+    dynamic: LruCacheTable | None,
     frozen: FrozenTable | None,
     dcfg: DraftConfig,
-    tcfg: CacheTableConfig,
 ) -> DraftTree:
     """Grow a draft tree from the tail of ``context`` by recursive queries.
 
     ``context`` is the full committed sequence with the pending tokens at its
-    tail.  Phase 1 runs a FIFO breadth-first expansion against the dynamic
-    table: pop a chain end, form the leader from the last ``ll`` tokens of
-    (context ++ path), and hang each returned follower as a linear chain,
-    feeding new chain ends back into the frontier.  Phase 2 repeats the same
-    expansion with the frozen table, starting from the chain ends (and the
-    anchor) that phase 1 left childless; it is skipped when no chain fits.
+    tail.  Each table present (dynamic, then frozen; ``None`` is absent) runs
+    one phase of FIFO breadth-first expansion: pop a chain end, form the
+    leader from the last ``ll`` tokens of (context ++ path), and hang each
+    returned follower as a linear chain, feeding new chain ends back into the
+    frontier.  The first phase starts at the anchor; each later phase starts
+    from the chain ends (and the anchor) that the phase before it left
+    childless.  The tables present must agree on ``ll`` and ``fl``.
 
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
@@ -103,15 +104,16 @@ def build_draft_tree(
         raise ValueError(
             f"pending_len {pending_len} out of range for context of length {len(context)}"
         )
-    if (dynamic.config.ll, dynamic.config.fl) != (tcfg.ll, tcfg.fl):
-        raise ValueError("dynamic table shape does not match the table config")
-    if frozen is not None and (frozen.config.ll, frozen.config.fl) != (tcfg.ll, tcfg.fl):
-        raise ValueError("frozen table shape does not match the table config")
+    tables = [table for table in (dynamic, frozen) if table is not None]
+    if not tables:
+        raise ValueError("no table to draft from: dynamic and frozen are both None")
+    ll, fl = tables[0].config.ll, tables[0].config.fl
+    if (tables[-1].config.ll, tables[-1].config.fl) != (ll, fl):  # at most two tables
+        raise ValueError("dynamic and frozen tables differ in leader or follower length")
 
     nodes: list[DraftNode] = []
     child: dict[tuple[int | None, int], int] = {}
     tree = DraftTree(tuple(context[-pending_len:]) if pending_len else (), nodes, child, 0)
-    ll, fl = tcfg.ll, tcfg.fl
     if len(context) < ll:
         return tree
 
@@ -121,10 +123,12 @@ def build_draft_tree(
     anchor_room = room - dcfg.crt
     new_node = tuple.__new__  # skips the NamedTuple's Python-level __new__
     n = 0
-
-    def expand(frontier: deque, lookup, childless: list) -> None:
-        # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
-        nonlocal n
+    # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
+    leaves: list = [(None, tuple(context[-ll:]), 0)]
+    for table in tables:
+        # A phase pops every chain end unless the budget runs out first, so the
+        # childless ends it collects, in node order, are the next phase's leaves.
+        frontier, leaves, lookup = deque(leaves), [], table.query
         while frontier and n <= room:
             parent, tail, depth = item = frontier.popleft()
             limit = anchor_room if parent is None else room
@@ -142,16 +146,9 @@ def build_draft_tree(
                     n += 1
                 frontier.append((at, (tail + follower)[-ll:], depth + fl))
             if not hung:
-                childless.append(item)
+                leaves.append(item)
             elif depth + fl > tree.max_depth:
                 tree.max_depth = depth + fl  # where the chains just hung end
-
-    # Phase 1 pops every chain end unless the budget runs out first, so the
-    # childless ends it collects, in node order, are the frozen phase's leaves.
-    leaves: list = []
-    expand(deque(((None, tuple(context[-ll:]), 0),)), dynamic.query, leaves)
-    if frozen is not None and n <= room:
-        expand(deque(leaves), frozen.query, [])
     return tree
 
 

@@ -65,6 +65,19 @@ class RefLruTable:
         return [(row[0], list(reversed(row[1]))) for row in self.rows]
 
 
+def peek(table, leader):
+    """An ``LruCacheTable``'s followers of ``leader``, most recently inserted
+    first, read from its entries without touching recency; None if absent."""
+    followers = table._entries.get(leader)
+    return None if followers is None else list(reversed(followers))
+
+
+def snapshot(table) -> list:
+    """An ``LruCacheTable``'s whole state read from its entries, in the shape
+    of ``RefLruTable.state``: (leader, followers newest-first), LRU to MRU."""
+    return [(leader, list(reversed(followers))) for leader, followers in table._entries.items()]
+
+
 def naive_frozen_map(
     docs: Sequence[Sequence[int]], ll: int, fl: int, lc: int, fc: int
 ) -> dict[tuple, list[tuple]]:

@@ -27,7 +27,14 @@ from ngramspec.draft_tree import (
 from ngramspec.frozen_table import FrozenTable, build_frozen, count_ngrams
 
 from corpus import background_texts, eval_texts
-from oracles import RefLruTable, SimDecoder, brute_ancestor_mask, greedy_reference, naive_frozen_map
+from oracles import (
+    RefLruTable,
+    SimDecoder,
+    brute_ancestor_mask,
+    greedy_reference,
+    naive_frozen_map,
+    snapshot,
+)
 
 # Pinned by the brute-force step simulator on the desk corpus
 # (ll=1 fl=3 lc=4096 fc=32 tdl=48 crt=8, kgram order 3, 200 new tokens/task).
@@ -117,7 +124,7 @@ def test_lru_oracle_equivalence():
                 real.insert(leader, follower)
                 ref.insert(leader, follower)
             if i % 100 == 0:
-                assert real.snapshot() == ref.state()
+                assert snapshot(real) == ref.state()
                 checked += 1
     _gate("lru-oracle-equivalence", True, f"{total_ops} ops, {checked} state checks")
 
@@ -169,7 +176,7 @@ def test_budget_bound():
             frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
         context = [rng.randrange(pool) for _ in range(rng.randint(0, 10))]
         pending = rng.randint(0, min(3, len(context), dcfg.tdl))
-        tree = build_draft_tree(context, pending, table, frozen, dcfg, tcfg)
+        tree = build_draft_tree(context, pending, table, frozen, dcfg)
         if pending + len(tree.nodes) > dcfg.tdl:
             violations += 1
         level_one = sum(1 for n in tree.nodes if n.depth <= tcfg.fl)
@@ -333,7 +340,7 @@ def test_performance_smoke():
     samples = []
     for _ in range(300):
         t0 = time.perf_counter_ns()
-        tree = build_draft_tree(words, 1, draft_table, None, dcfg, tcfg)
+        tree = build_draft_tree(words, 1, draft_table, None, dcfg)
         samples.append((time.perf_counter_ns() - t0) / 1000)
     draft_median = statistics.median(samples)
 

@@ -1,4 +1,4 @@
-"""LRU cache table: examples, eviction reports, and oracle equivalence."""
+"""LRU cache table: examples, evicted keys, and oracle equivalence."""
 
 from __future__ import annotations
 
@@ -8,18 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ngramspec.cache_table import (
-    CacheTableConfig,
-    EvictedFollower,
-    EvictedLeader,
-    LruCacheTable,
-)
+from ngramspec.cache_table import CacheTableConfig, LruCacheTable
 
-from oracles import RefLruTable
+from oracles import RefLruTable, peek, snapshot
 
 
 def L(*tokens):
     return tuple(tokens)
+
+
+def replay(cfg, ops):
+    """Run ``ops`` ((leader, follower) inserts, or a bare leader to query) on
+    a table and on the reference; check that both end in the same state, and
+    return the table and what its last op returned."""
+    table, ref = LruCacheTable(CacheTableConfig(*cfg)), RefLruTable(*cfg)
+    for op in ops:
+        if isinstance(op[0], tuple):
+            result = table.insert(*op)
+            ref.insert(*op)
+        else:
+            result = table.query(op)
+            ref.query(op)
+    assert snapshot(table) == ref.state()
+    return table, result
 
 
 class TestConstruction:
@@ -50,15 +61,12 @@ class TestQuery:
 
     def test_query_refreshes_leader_recency(self):
         # LC=2: insert L1, L2, query L1, insert L3 => L2 evicted.
-        table = LruCacheTable(CacheTableConfig(1, 1, 2, 2))
-        table.insert(L(1), L(10))
-        table.insert(L(2), L(20))
-        table.query(L(1))
-        report = table.insert(L(3), L(30))
-        assert report == EvictedLeader(leader=L(2), followers=(L(20),))
-        assert table.peek(L(1)) is not None
-        assert table.peek(L(3)) is not None
-        assert table.peek(L(2)) is None
+        ops = [(L(1), L(10)), (L(2), L(20)), L(1), (L(3), L(30))]
+        table, evicted = replay((1, 1, 2, 2), ops)
+        assert evicted == L(2)
+        assert peek(table, L(1)) is not None
+        assert peek(table, L(3)) is not None
+        assert peek(table, L(2)) is None
 
     def test_wrong_leader_length_rejected(self):
         table = LruCacheTable(CacheTableConfig(2, 3, 4, 2))
@@ -68,11 +76,9 @@ class TestQuery:
 
 class TestInsert:
     def test_follower_capacity_eviction_order(self):
-        table = LruCacheTable(CacheTableConfig(1, 1, 4, 2))
-        table.insert(L(1), L(10))
-        table.insert(L(1), L(11))
-        report = table.insert(L(1), L(12))
-        assert report == EvictedFollower(leader=L(1), follower=L(10))
+        ops = [(L(1), L(10)), (L(1), L(11)), (L(1), L(12))]
+        table, evicted = replay((1, 1, 4, 2), ops)
+        assert evicted == L(10)
         assert table.query(L(1)) == [L(12), L(11)]
 
     def test_duplicate_insert_is_dedup(self):
@@ -83,19 +89,15 @@ class TestInsert:
         assert len(table) == 1
 
     def test_leader_capacity_eviction(self):
-        table = LruCacheTable(CacheTableConfig(1, 1, 1, 2))
-        table.insert(L(1), L(10))
-        report = table.insert(L(2), L(20))
-        assert report == EvictedLeader(leader=L(1), followers=(L(10),))
+        table, evicted = replay((1, 1, 1, 2), [(L(1), L(10)), (L(1), L(11)), (L(2), L(20))])
+        assert evicted == L(1)
         assert len(table) == 1
 
     def test_duplicate_insert_refreshes_follower_recency(self):
-        table = LruCacheTable(CacheTableConfig(1, 1, 4, 2))
-        table.insert(L(1), L(10))
-        table.insert(L(1), L(11))
-        table.insert(L(1), L(10))  # moves (10,) back to the front
-        report = table.insert(L(1), L(12))
-        assert report == EvictedFollower(leader=L(1), follower=L(11))
+        # The third insert moves (10,) back to the front.
+        ops = [(L(1), L(10)), (L(1), L(11)), (L(1), L(10)), (L(1), L(12))]
+        table, evicted = replay((1, 1, 4, 2), ops)
+        assert evicted == L(11)
         assert table.query(L(1)) == [L(12), L(10)]
 
     def test_wrong_follower_length_rejected(self):
@@ -119,26 +121,13 @@ class TestLeaderCount:
 class TestPeek:
     def test_absent(self):
         table = LruCacheTable(CacheTableConfig(1, 1, 2, 2))
-        assert table.peek(L(9)) is None
+        assert peek(table, L(9)) is None
 
     def test_equals_query_result(self):
         table = LruCacheTable(CacheTableConfig(1, 1, 2, 2))
         table.insert(L(1), L(10))
         table.insert(L(1), L(11))
-        assert table.peek(L(1)) == table.query(L(1))
-
-    def test_peek_has_no_recency_effect(self):
-        real = LruCacheTable(CacheTableConfig(1, 1, 2, 2))
-        ref = RefLruTable(1, 1, 2, 2)
-        for leader, follower in [(1, 10), (2, 20)]:
-            real.insert(L(leader), L(follower))
-            ref.insert(L(leader), L(follower))
-        real.peek(L(1))
-        real.peek(L(1))
-        # A query would have moved L(1) to most-recent; peek must not.
-        real.insert(L(3), L(30))
-        ref.insert(L(3), L(30))
-        assert real.snapshot() == ref.state()
+        assert peek(table, L(1)) == table.query(L(1))
 
 
 ops_strategy = st.lists(
@@ -168,7 +157,7 @@ def test_lru_equivalence_with_reference(cfg, ops):
         else:
             real.insert(leader, follower)
             ref.insert(leader, follower)
-        assert real.snapshot() == ref.state()
+        assert snapshot(real) == ref.state()
 
 
 @given(
@@ -186,7 +175,7 @@ def test_capacity_safety(cfg, ops):
         else:
             table.insert(leader, tuple(b + i for i in range(fl)))
         assert len(table) <= lc
-        assert all(len(fs) <= fc for _, fs in table.snapshot())
+        assert all(len(fs) <= fc for _, fs in snapshot(table))
 
 
 @given(ops=ops_strategy, probe=st.integers(0, 6))
@@ -198,9 +187,9 @@ def test_query_never_mutates_followers(ops, probe):
             table.query((a,))
         else:
             table.insert((a,), (b,))
-    before = {leader: fs for leader, fs in table.snapshot()}
+    before = {leader: fs for leader, fs in snapshot(table)}
     table.query((probe,))
-    after = {leader: fs for leader, fs in table.snapshot()}
+    after = {leader: fs for leader, fs in snapshot(table)}
     assert before == after  # same lists, only leader order may shift
 
 
@@ -212,11 +201,11 @@ def test_duplicate_insert_changes_no_counts(ops):
     for kind, a, b in ops:
         if kind == "insert":
             table.insert((a,), (b,))
-    for leader, followers in table.snapshot():
+    for leader, followers in snapshot(table):
         target = rng.choice(followers)
         leaders_before = len(table)
         length_before = len(followers)
         table.insert(leader, target)
-        peeked = table.peek(leader)
+        peeked = peek(table, leader)
         assert len(table) == leaders_before
         assert peeked is not None and len(peeked) == length_before

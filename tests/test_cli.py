@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ngramspec import cli
 from ngramspec.cache_table import CacheTableConfig
 from ngramspec.cli import (
     EOS_TOKEN,
@@ -23,7 +24,7 @@ from ngramspec.cli import (
     tokenize,
 )
 from ngramspec.decode_loop import ReplayOracle
-from ngramspec.frozen_table import FrozenTable
+from ngramspec.frozen_table import FrozenTable, build_frozen, count_ngrams
 
 from corpus import background_texts, eval_texts
 from oracles import SimDecoder, cbft_bytes, naive_frozen_map
@@ -227,8 +228,22 @@ class TestSweep:
         ]
         assert all(r["mat"] >= 1.0 for r in sweep.rows)
         header, *rows = sweep.render("csv").splitlines()
-        assert header == "ll,fl,mat,tokens_per_step"
+        assert header == "ll,fl,mat"
         assert len(rows) == 9
+
+    def test_corpus_and_prompts_tokenized_once(self, tmp_path, monkeypatch):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(2)), encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        calls = []
+        real_tokenize = cli.tokenize
+        monkeypatch.setattr(cli, "tokenize", lambda *args: calls.append(args) or real_tokenize(*args))
+        cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=10)
+        sweep = cmd_sweep(cfg, [1, 2], [1, 2], [prompts], corpus_paths=[corpus])
+        assert len(sweep.rows) == 4
+        # One call per document for the whole grid, corpus first.
+        assert [text for text, *_ in calls] == background_texts(5) + eval_texts(2)
 
     def test_empty_ranges_rejected(self, tmp_path):
         prompts = tmp_path / "p.txt"
@@ -279,6 +294,13 @@ class TestAblate:
 
 
 class TestRunBenchWiring:
+    @pytest.mark.parametrize("mode", ["dual", "frozen"])
+    def test_table_of_another_shape_rejected(self, mode):
+        tcfg = CacheTableConfig(1, 2, 64, 8)
+        frozen = build_frozen(count_ngrams([[1, 2, 3, 1, 2, 3]], tcfg), tcfg)
+        with pytest.raises(ValueError, match="table shape"):
+            run_bench(RunConfig(ll=1, fl=3, max_new_tokens=5), [[1, 2, 3, 4]], frozen, mode=mode)
+
     def test_frozen_mode_without_table_rejected(self):
         with pytest.raises(ValueError):
             run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]], None, mode="frozen")
@@ -340,7 +362,7 @@ class TestMain:
         )
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "ll,fl,mat,tokens_per_step"
+        assert lines[0] == "ll,fl,mat"
         assert len(lines) == 5
 
     def test_missing_prompt_file_exits_nonzero(self, tmp_path, capsys):
@@ -444,6 +466,30 @@ class TestMain:
             assert code == 2
             assert "vocabulary sidecar" in capsys.readouterr().err
 
+
+    def test_byte_run_on_whitespace_table_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        run = ["--tokenizer", "byte", "--prompts", str(prompts), "--table", str(table),
+               "--max-new-tokens", "5"]
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        capsys.readouterr()
+        for command in ("bench", "ablate"):
+            assert main([command, *run]) == 2
+            captured = capsys.readouterr()
+            assert "built with the whitespace tokenizer" in captured.err
+            assert captured.out == ""
+        # A byte table keeps accepting the whitespace build's now stale sidecar,
+        # and a sidecar that is not a vocabulary file.
+        assert main(["build-table", str(corpus), "--out", str(table), "--tokenizer", "byte"]) == 0
+        sidecar = tmp_path / "t.cbft.vocab.json"
+        for stale in (sidecar.read_text(encoding="utf-8"), json.dumps(["w0", "w1"])):
+            sidecar.write_text(stale, encoding="utf-8")
+            for command in ("bench", "ablate"):
+                assert main([command, *run]) == 0
 
     def test_sidecar_of_another_table_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"

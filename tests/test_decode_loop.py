@@ -24,7 +24,14 @@ from ngramspec.decode_loop import (
 from ngramspec.draft_tree import DraftConfig, build_draft_tree
 from ngramspec.frozen_table import build_frozen, count_ngrams
 
-from oracles import SimDecoder, brute_kgram_next, greedy_reference, naive_frozen_map
+from oracles import (
+    SimDecoder,
+    brute_kgram_next,
+    greedy_reference,
+    naive_frozen_map,
+    peek,
+    snapshot,
+)
 
 EOS = 0xFFFF_FFFF
 
@@ -41,7 +48,7 @@ def fox_tree():
     table.insert((THE, FOX), (RAN, FAST))
     table.insert((SAT, STILL), (YOU, COULD))
     return build_draft_tree(
-        [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4), tcfg
+        [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4)
     )
 
 
@@ -100,7 +107,7 @@ class TestVerifyTree:
         table = LruCacheTable(tcfg)
         table.insert((0,), (1, 3))
         table.insert((0,), (1, 2))  # most recent, so earliest-inserted node
-        tree = build_draft_tree([0], 0, table, None, DraftConfig(8, 0), tcfg)
+        tree = build_draft_tree([0], 0, table, None, DraftConfig(8, 0))
         assert [n.token for n in tree.nodes] == [1, 2, 1, 3]
         stub = PathStub([0], {(): 1, (1,): 2, (1, 2): 9})
         accepted, bonus = accept(tree, [0], stub)
@@ -108,12 +115,10 @@ class TestVerifyTree:
         assert bonus == 9
 
 
-def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic_enabled=True):
-    return DecodeState.fresh(
-        CacheTableConfig(ll, fl, lc, fc),
-        DraftConfig(tdl, crt),
-        frozen=frozen,
-        dynamic_enabled=dynamic_enabled,
+def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic=True):
+    tcfg = CacheTableConfig(ll, fl, lc, fc)
+    return DecodeState(
+        tcfg, DraftConfig(tdl, crt), LruCacheTable(tcfg) if dynamic else None, frozen
     )
 
 
@@ -122,7 +127,7 @@ class TestUpdateTables:
         state = fresh_state(ll=1, fl=3)
         update_tables(state, [1, 2, 3, 4])  # 3 prior tokens + 1 new
         assert len(state.dynamic) == 1
-        assert state.dynamic.peek((1,)) == [(2, 3, 4)]
+        assert peek(state.dynamic, (1,)) == [(2, 3, 4)]
 
     def test_short_source_inserts_only_complete_windows(self):
         state = fresh_state(ll=1, fl=3)
@@ -134,13 +139,14 @@ class TestUpdateTables:
         prior = [1, 2, 3]  # ll + fl - 1 tokens
         new = [4, 5, 6, 7]
         update_tables(state, prior + new)
-        inserted = sum(len(fs) for _, fs in state.dynamic.snapshot())
+        inserted = sum(len(fs) for _, fs in snapshot(state.dynamic))
         assert inserted == len(new)
 
     def test_disabled_dynamic_is_untouched(self):
-        state = fresh_state(ll=1, fl=1, dynamic_enabled=False)
+        state = fresh_state(ll=1, fl=1, dynamic=False)
         update_tables(state, [1, 2, 3])
-        assert len(state.dynamic) == 0
+        reset(state)
+        assert state.dynamic is None
 
 
 class TestInitFromPrompt:
@@ -154,8 +160,8 @@ class TestInitFromPrompt:
     def test_alternating_prompt(self):
         state = fresh_state(ll=1, fl=1)
         init_from_prompt(state, [20, 21, 20, 21, 20, 21])
-        assert state.dynamic.peek((20,)) == [(21,)]
-        assert state.dynamic.peek((21,)) == [(20,)]
+        assert peek(state.dynamic, (20,)) == [(21,)]
+        assert peek(state.dynamic, (21,)) == [(20,)]
 
     def test_empty_prompt(self):
         state = fresh_state()
@@ -166,9 +172,9 @@ class TestInitFromPrompt:
         prompt = [1, 2, 1, 2, 3, 1, 2]
         state = fresh_state(ll=1, fl=1, lc=4, fc=2)
         init_from_prompt(state, prompt)
-        once = state.dynamic.snapshot()
+        once = snapshot(state.dynamic)
         init_from_prompt(state, prompt)
-        assert state.dynamic.snapshot() == once
+        assert snapshot(state.dynamic) == once
 
 
 class TestReset:
@@ -203,7 +209,7 @@ class TestReset:
         out_fresh, met_fresh = run_decode(fresh, doc_b[:4], verifier, 12)
         assert out_reused == out_fresh
         assert met_reused == met_fresh
-        assert reused.dynamic.snapshot() == fresh.dynamic.snapshot()
+        assert snapshot(reused.dynamic) == snapshot(fresh.dynamic)
 
 
 class TestDecodeStep:
@@ -274,14 +280,6 @@ class TestRunDecode:
         state = fresh_state()
         out, _ = run_decode(state, prompt, oracle, 50)
         assert out == [7, 8, EOS]
-
-    def test_eos_ignored_when_flag_off(self):
-        prompt = [1, 2, 3]
-        oracle = ReplayOracle(3, [7, 8], EOS)
-        state = fresh_state()
-        out, _ = run_decode(state, prompt, oracle, 6, stop_at_eos=False)
-        assert out == [7, 8, EOS, EOS, EOS, EOS]
-        assert out == greedy_reference(prompt, oracle, 6, stop_at_eos=False)
 
     def test_invalid_max_new_tokens(self):
         state = fresh_state()
@@ -354,7 +352,7 @@ def test_step_oracle_equivalence_randomized(seed):
         before = len(state.committed)
         decode_step(state, verifier)
         assert state.committed[before:] == sim.step(verifier)
-        assert state.dynamic.snapshot() == sim.dynamic.state()
+        assert snapshot(state.dynamic) == sim.dynamic.state()
 
 
 class CountingVerifier:
@@ -439,5 +437,5 @@ def test_determinism_full_run():
     for _ in range(2):
         state = fresh_state(ll=1, fl=2, tdl=10, crt=2)
         out, metrics = run_decode(state, prompt, verifier, 25)
-        results.append((out, metrics, state.dynamic.snapshot()))
+        results.append((out, metrics, snapshot(state.dynamic)))
     assert results[0] == results[1]

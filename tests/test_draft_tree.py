@@ -30,6 +30,7 @@ from oracles import (
     brute_max_depth,
     linear_accept,
     naive_frozen_map,
+    snapshot,
 )
 
 # Token ids for the worked two-word-leader example:
@@ -39,15 +40,14 @@ AT, DAWN, THE, FOX = 10, 11, 0, 1
 RAN, FAST, HID, DEEP, SAT, STILL, YOU, COULD = 2, 3, 4, 5, 6, 7, 8, 9
 
 
-def fox_table() -> tuple[LruCacheTable, CacheTableConfig]:
-    tcfg = CacheTableConfig(ll=2, fl=2, lc=16, fc=8)
-    table = LruCacheTable(tcfg)
+def fox_table() -> LruCacheTable:
+    table = LruCacheTable(CacheTableConfig(ll=2, fl=2, lc=16, fc=8))
     # Insert in reverse so the query returns ran/hid/sat most-recent-first.
     table.insert((THE, FOX), (SAT, STILL))
     table.insert((THE, FOX), (HID, DEEP))
     table.insert((THE, FOX), (RAN, FAST))
     table.insert((SAT, STILL), (YOU, COULD))
-    return table, tcfg
+    return table
 
 
 def as_tuples(tree: DraftTree) -> list[tuple]:
@@ -57,7 +57,7 @@ def as_tuples(tree: DraftTree) -> list[tuple]:
 class TestBuild:
     def test_empty_tables_give_empty_tree(self):
         tcfg = CacheTableConfig(1, 3, 4, 4)
-        tree = build_draft_tree([1, 2, 3], 1, LruCacheTable(tcfg), None, DraftConfig(8, 2), tcfg)
+        tree = build_draft_tree([1, 2, 3], 1, LruCacheTable(tcfg), None, DraftConfig(8, 2))
         assert tree.nodes == []
         assert tree.pending == (3,)
 
@@ -65,13 +65,13 @@ class TestBuild:
         tcfg = CacheTableConfig(3, 1, 4, 4)
         table = LruCacheTable(tcfg)
         table.insert((1, 2, 3), (4,))
-        tree = build_draft_tree([1, 2], 0, table, None, DraftConfig(8, 2), tcfg)
+        tree = build_draft_tree([1, 2], 0, table, None, DraftConfig(8, 2))
         assert tree.nodes == []
 
     def test_two_word_leader_example_tree(self):
-        table, tcfg = fox_table()
+        table = fox_table()
         tree = build_draft_tree(
-            [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4), tcfg
+            [AT, DAWN, THE, FOX], 0, table, None, DraftConfig(tdl=16, crt=4)
         )
         assert as_tuples(tree) == [
             (RAN, None, 1),
@@ -94,7 +94,7 @@ class TestBuild:
             table.insert((0,), (first, second))  # query order: (1,2) first
         table.insert((2,), (20, 21))
         table.insert((4,), (40, 41))
-        tree = build_draft_tree([0], 0, table, None, DraftConfig(tdl=10, crt=6), tcfg)
+        tree = build_draft_tree([0], 0, table, None, DraftConfig(tdl=10, crt=6))
         roots = [n for n in tree.nodes if n.parent is None]
         level_one = [n for n in tree.nodes if n.depth <= tcfg.fl]
         assert len(roots) == 2
@@ -109,7 +109,7 @@ class TestBuild:
         table = LruCacheTable(tcfg)
         table.insert((0,), (3, 4))
         table.insert((0,), (1, 2))
-        tree = build_draft_tree([0], 0, table, None, DraftConfig(tdl=3, crt=0), tcfg)
+        tree = build_draft_tree([0], 0, table, None, DraftConfig(tdl=3, crt=0))
         assert [n.token for n in tree.nodes] == [1, 2]
 
     def test_frozen_phase_extends_leaves(self):
@@ -118,7 +118,7 @@ class TestBuild:
         dynamic.insert((0,), (1,))
         corpus = [[1, 2, 2, 2]]
         frozen = build_frozen(count_ngrams(corpus, tcfg), tcfg)
-        tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=1), tcfg)
+        tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=1))
         # Dynamic adds 1; frozen then grows the chain until tdl is exhausted.
         assert [n.token for n in tree.nodes] == [1, 2, 2, 2]
         assert [n.parent for n in tree.nodes] == [None, 0, 1, 2]
@@ -132,7 +132,7 @@ class TestBuild:
         ref.insert((0,), (1, 2))
         docs = [[2, 3, 4]]
         frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
-        tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=0), tcfg)
+        tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=0))
         expected = brute_build_tree([0], 0, ref, naive_frozen_map(docs, 1, 2, 8, 4), 4, 0, 1, 2)
         assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
         assert [n.token for n in tree.nodes] == [1, 2, 3, 4]
@@ -143,15 +143,20 @@ class TestBuild:
         table.insert((5,), (1, 2))
         context = [9, 9, 9, 5]
         # pending=3 leaves no room: 3 + 2 > tdl=4.
-        tree = build_draft_tree(context, 3, table, None, DraftConfig(tdl=4, crt=0), tcfg)
+        tree = build_draft_tree(context, 3, table, None, DraftConfig(tdl=4, crt=0))
         assert tree.nodes == []
         assert tree.pending == (9, 9, 5)
 
     def test_mismatched_table_shape_rejected(self):
         tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=8)
-        other = LruCacheTable(CacheTableConfig(ll=2, fl=2, lc=8, fc=8))
+        dynamic = LruCacheTable(CacheTableConfig(ll=1, fl=3, lc=8, fc=8))
+        frozen = build_frozen(count_ngrams([[1, 2, 3, 1, 2]], tcfg), tcfg)
         with pytest.raises(ValueError):
-            build_draft_tree([1, 2], 0, other, None, DraftConfig(4, 0), tcfg)
+            build_draft_tree([1, 2], 0, dynamic, frozen, DraftConfig(4, 0))
+
+    def test_no_table_rejected(self):
+        with pytest.raises(ValueError):
+            build_draft_tree([1, 2], 0, None, None, DraftConfig(4, 0))
 
 
 class TestMask:
@@ -168,9 +173,9 @@ class TestMask:
         assert np.array_equal(attention_mask(tree), expected)
 
     def test_branches_do_not_see_each_other(self):
-        table, tcfg = fox_table()
+        table = fox_table()
         tree = build_draft_tree(
-            [AT, DAWN, THE, FOX], 2, table, None, DraftConfig(tdl=16, crt=4), tcfg
+            [AT, DAWN, THE, FOX], 2, table, None, DraftConfig(tdl=16, crt=4)
         )
         mask = attention_mask(tree)
         p = 2  # pending chain: "the fox"
@@ -218,18 +223,20 @@ def test_build_matches_brute_force(seed):
     rng = random.Random(seed)
     for _ in range(20):
         ll, fl, lc, fc, tdl, crt, real, ref, frozen, frozen_map, context, pending = random_setup(rng)
-        tree = build_draft_tree(
-            context, pending, real, frozen, DraftConfig(tdl, crt), CacheTableConfig(ll, fl, lc, fc)
-        )
+        tree = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt))
         expected = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
         assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
         # Query side effects on the dynamic table must also agree.
-        assert real.snapshot() == ref.state()
+        assert snapshot(real) == ref.state()
+        if frozen is not None:  # frozen-only wiring: no dynamic table at all
+            tree = build_draft_tree(context, pending, None, frozen, DraftConfig(tdl, crt))
+            expected = brute_build_tree(context, pending, None, frozen_map, tdl, crt, ll, fl)
+            assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
 
 
 def clone_table(table: LruCacheTable) -> LruCacheTable:
     out = LruCacheTable(table.config)
-    for leader, followers in table.snapshot():
+    for leader, followers in snapshot(table):
         for follower in reversed(followers):
             out.insert(leader, follower)
     return out
@@ -240,11 +247,10 @@ def test_build_is_deterministic(seed):
     rng = random.Random(1000 + seed)
     ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
     twin = clone_table(real)
-    tcfg = CacheTableConfig(ll, fl, lc, fc)
-    first = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt), tcfg)
-    second = build_draft_tree(context, pending, twin, frozen, DraftConfig(tdl, crt), tcfg)
+    first = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt))
+    second = build_draft_tree(context, pending, twin, frozen, DraftConfig(tdl, crt))
     assert as_tuples(first) == as_tuples(second)
-    assert real.snapshot() == twin.snapshot()
+    assert snapshot(real) == snapshot(twin)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -252,9 +258,7 @@ def test_budget_and_reserve_invariants(seed):
     rng = random.Random(2000 + seed)
     for _ in range(30):
         ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
-        tree = build_draft_tree(
-            context, pending, real, frozen, DraftConfig(tdl, crt), CacheTableConfig(ll, fl, lc, fc)
-        )
+        tree = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt))
         assert pending + len(tree.nodes) <= tdl
         level_one = sum(1 for n in tree.nodes if n.depth <= fl)
         assert level_one <= max(0, tdl - crt - pending)
@@ -288,7 +292,7 @@ def sparse_copy(table: LruCacheTable) -> LruCacheTable:
     """The table with only each leader's most recent follower, so the dynamic
     phase leaves budget and childless chain ends for the frozen phase."""
     out = LruCacheTable(table.config)
-    for leader, followers in table.snapshot():
+    for leader, followers in snapshot(table):
         out.insert(leader, followers[0])
     return out
 
@@ -299,10 +303,10 @@ def test_index_and_accept_match_brute_force():
         rng = random.Random(3000 + seed)
         for _ in range(20):
             ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
-            tcfg, dcfg = CacheTableConfig(ll, fl, lc, fc), DraftConfig(tdl, crt)
+            dcfg = DraftConfig(tdl, crt)
             for table in [real] if frozen is None else [real, sparse_copy(real)]:
-                bare = build_draft_tree(context, pending, clone_table(table), None, dcfg, tcfg)
-                tree = build_draft_tree(context, pending, table, frozen, dcfg, tcfg)
+                bare = build_draft_tree(context, pending, clone_table(table), None, dcfg)
+                tree = build_draft_tree(context, pending, table, frozen, dcfg)
                 nodes = as_tuples(tree)
                 phase_two += len(nodes) > len(bare.nodes)  # the frozen phase hung chains
                 assert tree.child == brute_child_index(nodes)
