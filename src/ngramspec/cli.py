@@ -18,14 +18,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable
 from .decode_loop import (
     DecodeState,
     KGramVerifier,
     ReplayOracle,
-    Verifier,
     reset,
     run_decode,
 )
@@ -67,9 +66,6 @@ class Vocab:
 
     def words(self) -> list[str]:
         return list(self._ids)
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -122,7 +118,7 @@ def sample_documents(docs: Sequence[str], fraction: float, seed: int) -> list[st
 @dataclass
 class RunConfig:
     """Effective benchmark configuration (defaults: the empirically best
-    table and budget settings)."""
+    table and budget settings), validated on construction and by ``replace``."""
 
     ll: int = 1
     fl: int = 3
@@ -135,7 +131,7 @@ class RunConfig:
     kgram_order: int = 3
     max_new_tokens: int = 128
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         self.table_config()
         self.draft_config()
         if self.tokenizer not in ("whitespace", "byte"):
@@ -235,7 +231,6 @@ def run_bench(
     docs: Sequence[Sequence[int]],
     frozen: FrozenTable | None = None,
     mode: str = "dual",
-    task_names: Sequence[str] | None = None,
 ) -> Report:
     """Run every task document through the decode loop under one wiring:
     one ``task`` row per document and an ``aggregate`` closing line.
@@ -244,7 +239,6 @@ def run_bench(
     frozen table), "frozen" (no dynamic table).  One state is reused and
     reset between tasks.
     """
-    cfg.validate()
     if mode not in MODES:
         raise ValueError(f"unknown wiring mode {mode!r}")
     if mode == "frozen" and frozen is None:
@@ -257,21 +251,15 @@ def run_bench(
     docs = [list(d) for d in docs if len(d)]
     if not docs:
         raise ValueError("no non-empty task documents")
-    names = list(task_names) if task_names else [f"task-{i:03d}" for i in range(len(docs))]
 
-    shared: Verifier | None = None
-    if cfg.verifier == "kgram":
-        shared = KGramVerifier(cfg.kgram_order, docs)
-
-    tcfg = cfg.table_config()
+    shared = KGramVerifier(cfg.kgram_order, docs) if cfg.verifier == "kgram" else None
     state = DecodeState(
-        tcfg,
         cfg.draft_config(),
-        dynamic=None if mode == "frozen" else LruCacheTable(tcfg),
+        dynamic=None if mode == "frozen" else LruCacheTable(cfg.table_config()),
         frozen=None if mode == "dynamic" else frozen,
     )
     rows = []
-    for name, doc in zip(names, docs):
+    for i, doc in enumerate(docs):
         prompt, target = _split_task(doc)
         verifier = shared or ReplayOracle(len(prompt), target, EOS_TOKEN)
         reset(state)
@@ -280,7 +268,7 @@ def run_bench(
         wall = time.perf_counter() - t0
         rows.append(
             {
-                "task": name,
+                "task": f"task-{i:03d}",
                 "steps": metrics.steps,
                 "emitted": metrics.total_emitted,
                 "mat": metrics.mat,
@@ -402,7 +390,6 @@ def cmd_bench(
 ) -> Report:
     """Benchmark the decode loop over prompt documents (dual wiring; the
     dynamic table alone when no frozen table is supplied)."""
-    cfg.validate()
     docs, frozen = _load_tables_and_tasks(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
     return run_bench(cfg, docs, frozen, mode="dual")
 
@@ -437,7 +424,6 @@ def cmd_sweep(
     for ll in ll_values:
         for fl in fl_values:
             cell = replace(cfg, ll=ll, fl=fl)
-            cell.validate()
             tcfg = cell.table_config()
             frozen = build_frozen(count_ngrams(corpus, tcfg), tcfg) if corpus is not None else None
             mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
@@ -458,7 +444,6 @@ def cmd_ablate(
 ) -> Report:
     """Three benchmark runs differing only in table wiring: one ``wiring``
     row each for dual, dynamic-only and frozen-only, from its aggregate."""
-    cfg.validate()
     if table_path is None and not corpus_paths:
         raise ValueError("ablation requires a frozen table (--table or --corpus)")
     docs, frozen = _load_tables_and_tasks(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
@@ -497,19 +482,20 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
-def _add_table_shape_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ll", type=int, default=1, help="leader length in tokens")
-    p.add_argument("--fl", type=int, default=3, help="follower length in tokens")
-    p.add_argument("--lc", type=int, default=2**20, help="max leaders per table")
-    p.add_argument("--fc", type=int, default=128, help="max followers per leader")
+def _add_table_shape_args(p: argparse.ArgumentParser, lengths: Callable = int) -> None:
+    # String defaults go through ``type``, so a sweep's default is a list too.
+    p.add_argument("--ll", type=lengths, default=str(RunConfig.ll), help="tokens per leader")
+    p.add_argument("--fl", type=lengths, default=str(RunConfig.fl), help="tokens per follower")
+    p.add_argument("--lc", type=int, default=RunConfig.lc, help="max leaders per table")
+    p.add_argument("--fc", type=int, default=RunConfig.fc, help="max followers per leader")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tdl", type=int, default=96, help="total draft length budget")
-    p.add_argument("--crt", type=int, default=16, help="tokens reserved for depth >= 2")
-    p.add_argument("--verifier", choices=("kgram", "replay"), default="kgram")
-    p.add_argument("--kgram-order", type=int, default=3)
-    p.add_argument("--max-new-tokens", type=int, default=128)
+    p.add_argument("--tdl", type=int, default=RunConfig.tdl, help="total draft length budget")
+    p.add_argument("--crt", type=int, default=RunConfig.crt, help="tokens reserved for depth >= 2")
+    p.add_argument("--verifier", choices=("kgram", "replay"), default=RunConfig.verifier)
+    p.add_argument("--kgram-order", type=int, default=RunConfig.kgram_order)
+    p.add_argument("--max-new-tokens", type=int, default=RunConfig.max_new_tokens)
     p.add_argument("--prompts", nargs="+", required=True, help="prompt document file(s)")
     p.add_argument("--table", default=None, help="frozen table file (CBFT)")
     p.add_argument(
@@ -520,15 +506,13 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tokenizer", choices=("whitespace", "byte"), default="whitespace")
+    p.add_argument("--tokenizer", choices=("whitespace", "byte"), default=RunConfig.tokenizer)
     p.add_argument("--doc-mode", choices=("line", "file"), default="line")
 
 
 def _config_from_args(args: argparse.Namespace, **shape: int) -> RunConfig:
     values = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
-    cfg = RunConfig(**{**values, **shape})
-    cfg.validate()
-    return cfg
+    return RunConfig(**{**values, **shape})
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -552,11 +536,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_run_args(p_bench)
     _add_common_args(p_bench)
 
-    p_sweep = sub.add_parser("sweep", help="benchmark a grid of (ll, fl) settings")
-    p_sweep.add_argument("--ll", default="1", help="ll values, e.g. 1,2,3")
-    p_sweep.add_argument("--fl", default="3", help="fl values, e.g. 1-5")
-    p_sweep.add_argument("--lc", type=int, default=2**20)
-    p_sweep.add_argument("--fc", type=int, default=128)
+    sweep_help = "benchmark an (ll, fl) grid: --ll and --fl take lists such as 1,2 or 1-5"
+    p_sweep = sub.add_parser("sweep", help=sweep_help, description=sweep_help)
+    _add_table_shape_args(p_sweep, lengths=parse_int_list)
     _add_run_args(p_sweep)
     _add_common_args(p_sweep)
 
@@ -589,10 +571,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "sweep does not take --table: it rebuilds the frozen table "
                     "for every (ll, fl) cell from --corpus"
                 )
-            ll_values = parse_int_list(args.ll)
-            fl_values = parse_int_list(args.fl)
-            cfg = _config_from_args(args, ll=ll_values[0], fl=fl_values[0])
-            report = cmd_sweep(cfg, ll_values, fl_values, args.prompts, args.corpus, args.doc_mode)
+            cfg = _config_from_args(args, ll=args.ll[0], fl=args.fl[0])
+            report = cmd_sweep(cfg, args.ll, args.fl, args.prompts, args.corpus, args.doc_mode)
             _emit(report.render(args.format or "csv"), args.out)
         elif args.command == "ablate":
             cfg = _config_from_args(args)

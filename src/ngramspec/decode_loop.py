@@ -17,7 +17,7 @@ once over ``pending ++ nodes`` with ``draft_tree.attention_mask``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Protocol, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable
@@ -113,11 +113,18 @@ class StepMetrics:
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Whole-run acceptance statistics; ``mat`` is emitted tokens per step."""
+    """Whole-run acceptance statistics: one row per step, from which
+    ``steps``, ``total_emitted`` and ``mat`` (emitted tokens per step) derive."""
 
-    steps: int
-    total_emitted: int
     step_log: tuple[StepMetrics, ...]
+
+    @property
+    def steps(self) -> int:
+        return len(self.step_log)
+
+    @property
+    def total_emitted(self) -> int:
+        return sum(m.emitted for m in self.step_log)
 
     @property
     def mat(self) -> float:
@@ -130,18 +137,16 @@ class DecodeState:
 
     An absent table is ``None``: no ``frozen`` is dynamic-only wiring, and no
     ``dynamic`` is frozen-only wiring (for ablations), which drafts from the
-    frozen table alone and never records what is emitted.  ``pending_len``
-    counts tokens emitted last step that no forward pass has consumed yet;
-    they spend budget out of ``draft_config.tdl``.
+    frozen table alone and never records what is emitted.  Each table carries
+    its own shape.  ``pending_len`` counts tokens emitted last step that no
+    forward pass has consumed yet; they spend budget out of ``draft_config.tdl``.
     """
 
-    table_config: CacheTableConfig
     draft_config: DraftConfig
     dynamic: LruCacheTable | None
     frozen: FrozenTable | None = None
     committed: list[int] = field(default_factory=list)
     pending_len: int = 0
-    step_log: list[StepMetrics] = field(default_factory=list)
 
     @classmethod
     def fresh(
@@ -151,7 +156,7 @@ class DecodeState:
         frozen: FrozenTable | None = None,
     ) -> "DecodeState":
         """A state with an empty dynamic table and, optionally, a frozen one."""
-        return cls(table_config, draft_config, LruCacheTable(table_config), frozen)
+        return cls(draft_config, LruCacheTable(table_config), frozen)
 
 
 def accept(
@@ -185,22 +190,23 @@ def accept(
         del committed[base:]
 
 
-def update_tables(state: DecodeState, window_source: Sequence[int]) -> None:
-    """Slide an ``ll + fl`` window over ``window_source`` one token at a time
-    and insert each (leader, follower) pair into the dynamic table.
+def update_tables(state: DecodeState, start: int) -> None:
+    """Slide the dynamic table's ``ll + fl`` window over ``state.committed``
+    and insert the (leader, follower) pair of every window that ends at or
+    after index ``start``.
 
-    The source is a whole prompt, or the last ``ll + fl - 1`` tokens
-    preceding an emission plus the newly emitted tokens, so each new token
-    terminates exactly one full window.  The frozen table is never written,
-    and without a dynamic table nothing is.
+    Seeding a prompt passes 0, so every window of the prompt is inserted; a
+    step passes the committed length before its emission, so each new token
+    terminates exactly one window.  The frozen table is never written, and
+    without a dynamic table nothing is.
     """
-    if state.dynamic is None:
+    table = state.dynamic
+    if table is None:
         return
-    ll, fl = state.table_config.ll, state.table_config.fl
-    width = ll + fl
-    src = tuple(window_source)
+    ll, width = table.config.ll, table.config.ll + table.config.fl
+    src = tuple(state.committed[max(0, start - width + 1) :])
     for i in range(len(src) - width + 1):
-        state.dynamic.insert(src[i : i + ll], src[i + ll : i + width])
+        table.insert(src[i : i + ll], src[i + ll : i + width])
 
 
 def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
@@ -208,17 +214,16 @@ def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
     populate the dynamic table by sliding the n-gram window over the prompt."""
     state.committed = list(prompt)
     state.pending_len = min(1, len(prompt))
-    update_tables(state, prompt)
+    update_tables(state, 0)
 
 
 def reset(state: DecodeState) -> None:
-    """Fresh task on the same state: empty dynamic table (if it has one),
-    cleared sequence and metrics.  The frozen table is retained."""
+    """Fresh task on the same state: empty dynamic table of the same shape
+    (if it has one) and cleared sequence.  The frozen table is retained."""
     if state.dynamic is not None:
-        state.dynamic = LruCacheTable(state.table_config)
+        state.dynamic = LruCacheTable(state.dynamic.config)
     state.committed = []
     state.pending_len = 0
-    state.step_log.clear()
 
 
 def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
@@ -228,7 +233,6 @@ def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
     (truncating at the first EOS), marks the new tokens pending, and feeds
     them through the sliding-window table update.
     """
-    ll, fl = state.table_config.ll, state.table_config.fl
     tree = build_draft_tree(
         state.committed, state.pending_len, state.dynamic, state.frozen, state.draft_config
     )
@@ -240,19 +244,16 @@ def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
     if eos is not None and eos in emitted:
         emitted = emitted[: emitted.index(eos) + 1]
 
-    window_source = state.committed[-(ll + fl - 1) :] + emitted
     state.committed.extend(emitted)
     state.pending_len = len(emitted)
-    update_tables(state, window_source)
+    update_tables(state, len(state.committed) - len(emitted))
 
-    metrics = StepMetrics(
+    return StepMetrics(
         drafted=len(tree.nodes),
         accepted=min(len(accepted), len(emitted)),
         emitted=len(emitted),
         longest_branch=tree.max_depth,
     )
-    state.step_log.append(metrics)
-    return metrics
 
 
 def run_decode(
@@ -263,41 +264,31 @@ def run_decode(
 ) -> tuple[list[int], RunMetrics]:
     """Decode a task end to end and report acceptance statistics.
 
-    Steps until ``max_new_tokens`` are produced or EOS is emitted; output
-    past ``max_new_tokens`` is truncated, and the run metrics count the
-    truncated emission so that ``mat * steps == len(output)`` exactly.
+    Steps until ``max_new_tokens`` are produced or EOS is emitted, collecting
+    the rows ``decode_step`` returns.  Output past ``max_new_tokens`` is
+    truncated, and so are the last row's ``accepted`` and ``emitted``, so that
+    ``mat * steps == len(output)`` exactly.
     """
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be at least 1")
     init_from_prompt(state, prompt)
-    base = len(state.step_log)
     eos = verifier.eos_token
+    log: list[StepMetrics] = []
     produced = 0
     while produced < max_new_tokens:
         step = decode_step(state, verifier)
+        log.append(step)
         produced += step.emitted
         if eos is not None and state.committed[-1] == eos:
             break
 
-    log = list(state.step_log[base:])
     if produced > max_new_tokens:
-        overshoot = produced - max_new_tokens
         last = log[-1]
-        kept = last.emitted - overshoot
-        log[-1] = StepMetrics(
-            drafted=last.drafted,
-            accepted=min(last.accepted, kept),
-            emitted=kept,
-            longest_branch=last.longest_branch,
-        )
+        kept = last.emitted - (produced - max_new_tokens)
+        log[-1] = replace(last, accepted=min(last.accepted, kept), emitted=kept)
     prompt_len = len(prompt)
     output = state.committed[prompt_len : prompt_len + max_new_tokens]
-    metrics = RunMetrics(
-        steps=len(log),
-        total_emitted=sum(m.emitted for m in log),
-        step_log=tuple(log),
-    )
-    return output, metrics
+    return output, RunMetrics(tuple(log))
 
 
 def greedy_decode(prompt: Sequence[int], verifier: Verifier, max_new_tokens: int) -> list[int]:

@@ -38,9 +38,9 @@ class DraftConfig:
     crt: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tdl, int) or self.tdl < 1:
+        if not isinstance(self.tdl, int) or isinstance(self.tdl, bool) or self.tdl < 1:
             raise ValueError(f"tdl must be a positive integer, got {self.tdl!r}")
-        if not isinstance(self.crt, int) or self.crt < 0:
+        if not isinstance(self.crt, int) or isinstance(self.crt, bool) or self.crt < 0:
             raise ValueError(f"crt must be a non-negative integer, got {self.crt!r}")
         if self.crt >= self.tdl:
             raise ValueError(f"crt ({self.crt}) must be smaller than tdl ({self.tdl})")

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -57,7 +59,7 @@ class TestTokenize:
         vocab.save(tmp_path / "v.json")
         again = Vocab.load(tmp_path / "v.json")
         assert again.encode("alpha beta alpha gamma") == ids
-        assert len(again) == 3
+        assert again.words() == ["alpha", "beta", "gamma"]
 
 
 class TestParseIntList:
@@ -293,6 +295,27 @@ class TestAblate:
         assert [line.split(",")[0] for line in lines[1:]] == ["dual", "dynamic", "frozen"]
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"tdl": True, "crt": False},
+            {"fc": 0},
+            {"tokenizer": "words"},
+            {"verifier": "gpt"},
+            {"kgram_order": 0},
+            {"max_new_tokens": 0},
+        ],
+    )
+    def test_invalid_field_rejected_on_construction(self, bad):
+        with pytest.raises(ValueError):
+            RunConfig(**bad)
+
+    def test_replace_revalidates(self):
+        with pytest.raises(ValueError, match="ll"):
+            replace(RunConfig(), ll=0)
+
+
 class TestRunBenchWiring:
     @pytest.mark.parametrize("mode", ["dual", "frozen"])
     def test_table_of_another_shape_rejected(self, mode):
@@ -364,6 +387,21 @@ class TestMain:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "ll,fl,mat"
         assert len(lines) == 5
+
+    def test_cli_defaults_are_run_config_defaults(self, tmp_path, monkeypatch):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("a b c", encoding="utf-8")
+        seen = []
+        report = SimpleNamespace(render=lambda fmt: "")
+        monkeypatch.setattr(cli, "cmd_bench", lambda cfg, *_: seen.append(cfg) or report)
+        assert main(["bench", "--prompts", str(prompts)]) == 0
+        assert seen == [RunConfig()]
+
+    def test_sweep_bad_length_list_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--prompts", str(tmp_path / "p.txt"), "--ll", "1,x"])
+        assert exc.value.code == 2
+        assert "--ll" in capsys.readouterr().err
 
     def test_missing_prompt_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["bench", "--prompts", str(tmp_path / "nope.txt")])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -117,34 +118,37 @@ class TestVerifyTree:
 
 def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic=True):
     tcfg = CacheTableConfig(ll, fl, lc, fc)
-    return DecodeState(
-        tcfg, DraftConfig(tdl, crt), LruCacheTable(tcfg) if dynamic else None, frozen
-    )
+    return DecodeState(DraftConfig(tdl, crt), LruCacheTable(tcfg) if dynamic else None, frozen)
 
 
 class TestUpdateTables:
     def test_one_new_token_one_insertion(self):
         state = fresh_state(ll=1, fl=3)
-        update_tables(state, [1, 2, 3, 4])  # 3 prior tokens + 1 new
+        state.committed = [1, 2, 3, 4]  # 3 prior tokens + 1 new
+        update_tables(state, 3)
         assert len(state.dynamic) == 1
         assert peek(state.dynamic, (1,)) == [(2, 3, 4)]
 
     def test_short_source_inserts_only_complete_windows(self):
         state = fresh_state(ll=1, fl=3)
-        update_tables(state, [1, 2])
+        state.committed = [1, 2]
+        update_tables(state, 0)
         assert len(state.dynamic) == 0
 
     def test_k_new_tokens_k_insertions(self):
         state = fresh_state(ll=2, fl=2)
-        prior = [1, 2, 3]  # ll + fl - 1 tokens
+        prior = [0, 1, 2, 3]  # one full window that ends before the new tokens
         new = [4, 5, 6, 7]
-        update_tables(state, prior + new)
+        state.committed = prior + new
+        update_tables(state, len(prior))
         inserted = sum(len(fs) for _, fs in snapshot(state.dynamic))
         assert inserted == len(new)
+        assert peek(state.dynamic, (0, 1)) is None
 
     def test_disabled_dynamic_is_untouched(self):
         state = fresh_state(ll=1, fl=1, dynamic=False)
-        update_tables(state, [1, 2, 3])
+        state.committed = [1, 2, 3]
+        update_tables(state, 0)
         reset(state)
         assert state.dynamic is None
 
@@ -184,7 +188,6 @@ class TestReset:
         reset(state)
         assert len(state.dynamic) == 0
         assert state.committed == [] and state.pending_len == 0
-        assert state.step_log == []
 
     def test_reset_retains_frozen(self):
         tcfg = CacheTableConfig(1, 1, 8, 4)
@@ -273,6 +276,18 @@ class TestRunDecode:
         assert len(out) == 1
         assert metrics.steps == 1
         assert metrics.mat == 1.0
+
+    def test_cut_changes_only_accepted_and_emitted(self):
+        # Step 5 accepts 10 drafted tokens plus a bonus; a 27-token limit keeps 3.
+        doc = [1, 2, 3, 4, 5, 6, 7, 8] * 6
+        verifier = KGramVerifier(2, [doc])
+        _, cut = run_decode(fresh_state(ll=1, fl=2, tdl=12, crt=3), doc[:12], verifier, 27)
+        _, full = run_decode(fresh_state(ll=1, fl=2, tdl=12, crt=3), doc[:12], verifier, 40)
+        assert cut.steps == 5 and cut.total_emitted == 27
+        assert cut.step_log[:-1] == full.step_log[:4]
+        last, whole = cut.step_log[-1], full.step_log[4]
+        assert (whole.accepted, whole.emitted) == (10, 11)
+        assert last == replace(whole, accepted=3, emitted=3)  # drafted, longest_branch kept
 
     def test_stops_after_eos(self):
         prompt = [1, 2, 3]

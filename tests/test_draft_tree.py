@@ -159,6 +159,15 @@ class TestBuild:
             build_draft_tree([1, 2], 0, None, None, DraftConfig(4, 0))
 
 
+class TestDraftConfig:
+    @pytest.mark.parametrize(
+        "tdl, crt", [(True, 0), (4, False), (True, False), (0, 0), (4, -1), (4, 4), (4.0, 1)]
+    )
+    def test_invalid_budget_rejected(self, tdl, crt):
+        with pytest.raises(ValueError):
+            DraftConfig(tdl, crt)
+
+
 class TestMask:
     def test_single_pending_token(self):
         tree = DraftTree(pending=(5,), nodes=[])
