@@ -138,10 +138,10 @@ class RunConfig:
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
         if self.verifier not in ("kgram", "replay"):
             raise ValueError(f"unknown verifier {self.verifier!r}")
-        if self.kgram_order < 1:
-            raise ValueError("kgram order must be at least 1")
-        if self.max_new_tokens < 1:
-            raise ValueError("max-new-tokens must be at least 1")
+        for name in ("kgram_order", "max_new_tokens"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     def table_config(self) -> CacheTableConfig:
         return CacheTableConfig(ll=self.ll, fl=self.fl, lc=self.lc, fc=self.fc)
@@ -290,24 +290,12 @@ def run_bench(
     return Report({**asdict(cfg), "mode": mode}, "task", rows, aggregate)
 
 
-def _build_frozen_from_texts(
-    texts: Sequence[str], tcfg: CacheTableConfig, tokenizer: str, vocab: Vocab | None
-) -> FrozenTable:
-    docs = [tokenize(text, tokenizer, vocab) for text in texts]
-    return build_frozen(count_ngrams(docs, tcfg), tcfg)
+def _build_table(corpus: list[list[int]], tcfg: CacheTableConfig) -> FrozenTable:
+    return build_frozen(count_ngrams(corpus, tcfg), tcfg)
 
 
 def _vocab_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".vocab.json")
-
-
-def _sidecar_sha256(sidecar: Path) -> str | None:
-    """The table hash a sidecar was written for; None if it is not a
-    vocabulary file (a stale one vouches for no table)."""
-    try:
-        return Vocab.load(sidecar).table_sha256
-    except ValueError:
-        return None
 
 
 def cmd_build_table(
@@ -329,7 +317,7 @@ def cmd_build_table(
     if not sampled:
         print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
     vocab = Vocab() if tokenizer == "whitespace" else None
-    table = _build_frozen_from_texts(sampled, tcfg, tokenizer, vocab)
+    table = _build_table([tokenize(text, tokenizer, vocab) for text in sampled], tcfg)
     out = Path(out)
     table.save(out)
     if vocab is not None:
@@ -338,20 +326,24 @@ def cmd_build_table(
     return out
 
 
-def _load_tables_and_tasks(
+def _load_inputs(
     cfg: RunConfig,
     prompt_paths: Sequence[str | Path],
     table_path: str | Path | None,
     corpus_paths: Sequence[str | Path] | None,
     doc_mode: str,
-) -> tuple[list[list[int]], FrozenTable | None]:
-    """Shared bench/ablate input wiring: frozen table + tokenized tasks."""
+) -> tuple[list[list[int]], FrozenTable | None, list[list[int]] | None]:
+    """The prompts' token ids, the frozen table loaded from ``table_path``
+    and the corpus's token ids (None for an absent table or corpus).
+
+    Whitespace ids come from one vocabulary: the table's sidecar, or a new
+    one that numbers the corpus first, so that the prompts' ids match a
+    table built from the corpus.
+    """
     if table_path is not None and corpus_paths:
         raise ValueError("--table and --corpus each give the frozen table; pass only one")
-    vocab: Vocab | None = None
-    frozen: FrozenTable | None = None
-    if cfg.tokenizer == "whitespace":
-        vocab = Vocab()
+    vocab = Vocab() if cfg.tokenizer == "whitespace" else None
+    frozen = corpus = None
     if table_path is not None:
         data = Path(table_path).read_bytes()
         frozen = FrozenTable.load(data)
@@ -369,16 +361,21 @@ def _load_tables_and_tasks(
                     f"vocabulary sidecar {sidecar} was written for another table; "
                     "rebuild the table to get matching token ids"
                 )
-        elif sidecar.exists() and _sidecar_sha256(sidecar) == sha256:
-            raise ValueError(
-                f"{table_path} was built with the whitespace tokenizer (its sidecar "
-                f"{sidecar} matches it); byte token ids would not match the table"
-            )
-    elif corpus_paths:
-        corpus_texts = read_documents(corpus_paths, doc_mode)
-        frozen = _build_frozen_from_texts(corpus_texts, cfg.table_config(), cfg.tokenizer, vocab)
-    docs = [tokenize(text, cfg.tokenizer, vocab) for text in read_documents(prompt_paths, doc_mode)]
-    return [d for d in docs if d], frozen
+        elif sidecar.exists():
+            try:
+                whitespace_table = Vocab.load(sidecar).table_sha256 == sha256
+            except ValueError:  # not a vocabulary file: it vouches for no table
+                whitespace_table = False
+            if whitespace_table:
+                raise ValueError(
+                    f"{table_path} was built with the whitespace tokenizer (its sidecar "
+                    f"{sidecar} matches it); byte token ids would not match the table"
+                )
+    if corpus_paths:
+        texts = read_documents(corpus_paths, doc_mode)
+        corpus = [tokenize(text, cfg.tokenizer, vocab) for text in texts]
+    texts = read_documents(prompt_paths, doc_mode)
+    return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen, corpus
 
 
 def cmd_bench(
@@ -390,7 +387,9 @@ def cmd_bench(
 ) -> Report:
     """Benchmark the decode loop over prompt documents (dual wiring; the
     dynamic table alone when no frozen table is supplied)."""
-    docs, frozen = _load_tables_and_tasks(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    docs, frozen, corpus = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    if corpus is not None:
+        frozen = _build_table(corpus, cfg.table_config())
     return run_bench(cfg, docs, frozen, mode="dual")
 
 
@@ -411,21 +410,13 @@ def cmd_sweep(
     """
     if not ll_values or not fl_values:
         raise ValueError("sweep needs at least one ll value and one fl value")
-    # Token ids do not depend on (ll, fl): tokenize once, the corpus first,
-    # with one vocabulary, as a single bench run over the same files would.
-    vocab = Vocab() if cfg.tokenizer == "whitespace" else None
-
-    def token_ids(paths: Sequence[str | Path]) -> list[list[int]]:
-        return [tokenize(text, cfg.tokenizer, vocab) for text in read_documents(paths, doc_mode)]
-
-    corpus = token_ids(corpus_paths) if corpus_paths else None
-    docs = token_ids(prompt_paths)
+    # Token ids do not depend on (ll, fl): tokenize once for the whole grid.
+    docs, _, corpus = _load_inputs(cfg, prompt_paths, None, corpus_paths, doc_mode)
     rows = []
     for ll in ll_values:
         for fl in fl_values:
             cell = replace(cfg, ll=ll, fl=fl)
-            tcfg = cell.table_config()
-            frozen = build_frozen(count_ngrams(corpus, tcfg), tcfg) if corpus is not None else None
+            frozen = None if corpus is None else _build_table(corpus, cell.table_config())
             mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
             rows.append({"ll": ll, "fl": fl, "mat": mat})
     best = max(row["mat"] for row in rows)
@@ -446,7 +437,9 @@ def cmd_ablate(
     row each for dual, dynamic-only and frozen-only, from its aggregate."""
     if table_path is None and not corpus_paths:
         raise ValueError("ablation requires a frozen table (--table or --corpus)")
-    docs, frozen = _load_tables_and_tasks(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    docs, frozen, corpus = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    if corpus is not None:
+        frozen = _build_table(corpus, cfg.table_config())
     rows = []
     for mode in MODES:
         agg = run_bench(cfg, docs, frozen, mode=mode).closing

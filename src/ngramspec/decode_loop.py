@@ -62,19 +62,15 @@ class KGramVerifier:
     The next token is the most frequent continuation of the last ``order``
     tokens; ties break by ascending token id.  Prefixes with no counted
     continuation (including prefixes shorter than ``order``) fall back to the
-    globally most frequent token.
+    globally most frequent token.  It has no end-of-sequence token
+    (``eos_token`` is None), so its runs end at ``max_new_tokens``.
     """
 
-    def __init__(
-        self,
-        order: int,
-        docs: Iterable[Sequence[int]],
-        eos_token: int | None = None,
-    ) -> None:
+    def __init__(self, order: int, docs: Iterable[Sequence[int]]) -> None:
         if order < 1:
             raise ValueError("order must be at least 1")
         self.order = order
-        self.eos_token = eos_token
+        self.eos_token: int | None = None
         global_counts: Counter[int] = Counter()
         windows: Counter[tuple[int, ...]] = Counter()
         for doc in docs:

@@ -30,7 +30,7 @@ Serialization format (CBFT), all integers little-endian:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
@@ -162,15 +162,10 @@ class FrozenTable:
                 _write(self, fh)
 
     @classmethod
-    def load(cls, source: str | Path | BinaryIO | bytes) -> "FrozenTable":
-        """Parse CBFT bytes; raises :class:`FrozenTableLoadError` on damage."""
-        if isinstance(source, bytes):
-            data = source
-        elif hasattr(source, "read"):
-            data = source.read()  # type: ignore[union-attr]
-        else:
-            data = Path(source).read_bytes()
-        return _parse(data)
+    def load(cls, source: str | Path | bytes) -> "FrozenTable":
+        """Parse CBFT bytes, or the file at a path; raises
+        :class:`FrozenTableLoadError` on damage."""
+        return _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
 
 
 def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
@@ -178,13 +173,15 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
 
     Ranking is by descending count, then ascending lexicographic token-id
     order, which makes the result (and its serialization) deterministic.
+    The table's ``lc`` is the number of leaders kept (at least 1), as CBFT
+    records it, so a built table equals its own round trip.
     """
     ll, width = tcfg.ll, tcfg.ll + tcfg.fl
     windows, counts = counts.windows, counts.counts
     if windows.shape[1] != width:
         raise ValueError(f"counted windows have {windows.shape[1]} tokens, not ll + fl = {width}")
     if not len(windows):
-        return FrozenTable(config=tcfg, entries={})
+        return FrozenTable(config=replace(tcfg, lc=1), entries={})
     # Windows are sorted, so each leader's windows form one contiguous group.
     new_leader = np.empty(len(windows), bool)
     new_leader[0] = True
@@ -204,7 +201,7 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
         leader: tuple(followers[b:e])
         for leader, b, e in zip(leaders, begins[top].tolist(), ends[top].tolist())
     }
-    return FrozenTable(config=tcfg, entries=entries)
+    return FrozenTable(config=replace(tcfg, lc=len(entries)), entries=entries)
 
 
 def _write(table: FrozenTable, fh: BinaryIO) -> None:

@@ -304,7 +304,11 @@ class TestRunConfig:
             {"tokenizer": "words"},
             {"verifier": "gpt"},
             {"kgram_order": 0},
+            {"kgram_order": 2.5},
+            {"kgram_order": True},
             {"max_new_tokens": 0},
+            {"max_new_tokens": 3.0},
+            {"max_new_tokens": True},
         ],
     )
     def test_invalid_field_rejected_on_construction(self, bad):

@@ -198,6 +198,25 @@ def test_top_k_matches_naive_sorter(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
+def test_built_table_equals_its_round_trip(seed):
+    """Loading a built table's CBFT bytes gives back the same table, shape
+    included, when ``lc`` allows more leaders than the corpus has."""
+    rng = random.Random(2000 + seed)
+    ll, fl, fc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4)
+    docs = [
+        [rng.randrange(6) for _ in range(rng.randint(0, 40))]
+        for _ in range(rng.randint(0, 4))
+    ]
+    tcfg = CacheTableConfig(ll, fl, 2**20, fc)
+    table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+    sink = io.BytesIO()
+    table.save(sink)
+    loaded = FrozenTable.load(sink.getvalue())
+    assert loaded == table
+    assert list(loaded.entries) == list(table.entries)
+
+
+@pytest.mark.parametrize("seed", range(20))
 def test_wide_ids_and_long_windows_match_naive_sorter(seed):
     """Ids up to 2**32 - 1 and windows of up to 8 tokens: the packed window
     keys outgrow int64, so counting re-ranks them (never, once late, or
