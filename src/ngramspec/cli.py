@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -571,6 +572,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = _config_from_args(args)
             report = cmd_ablate(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
             _emit(report.render(args.format or "text"), args.out)
+    except BrokenPipeError:
+        # The reader closed stdout early: send what is left to devnull, so the
+        # flush at exit does not fail again, and exit quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -162,12 +162,12 @@ def accept(
 
     Starting at the anchor, ask the verifier for its greedy next token given
     ``committed`` plus the path accepted so far, and descend into the
-    earliest-inserted child carrying that token (``tree.child``), until no
-    child matches.  Returns the accepted node indices and the bonus token
-    (the verifier's token after the last accepted node).  Costs accepted + 1
-    verifier calls.  The path is appended to ``committed`` during the walk
-    and removed again before returning.  A tree without the index that
-    ``build_draft_tree`` records is refused.
+    child carrying that token (``tree.child``), until no child matches.
+    Returns the accepted node indices and the bonus token (the verifier's
+    token after the last accepted node).  Costs accepted + 1 verifier calls.
+    The path is appended to ``committed`` during the walk and removed again
+    before returning.  A tree without the index that ``build_draft_tree``
+    records is refused.
     """
     if tree.child is None:
         raise ValueError("tree has no child index; build it with build_draft_tree")

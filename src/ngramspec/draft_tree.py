@@ -5,7 +5,9 @@ last committed token; ``pending`` holds the tokens emitted last step that a
 verifier has not consumed yet (they form a chain below the anchor in the
 attention mask).  Each cache follower contributes a linear chain of
 single-token nodes, so branches can be accepted partially; branching happens
-at chain ends.
+at chain ends.  The acceptance walk descends into one child per token, so a
+follower whose first token an earlier sibling chain already carries could
+never be accepted; it is not drafted, and every node of a tree is reachable.
 
 Construction is a breadth-first expansion, one phase per table present: the
 dynamic (recency) table grows the tree first, then the frozen
@@ -62,7 +64,7 @@ class DraftTree:
     Invariant: ``len(pending) + len(nodes) <= tdl`` for every built tree, and
     parent indices always precede their children.  As ``build_draft_tree``
     hangs the nodes it also fills ``child``, which maps (parent, token) to the
-    earliest node with that parent (None: the anchor) and token, the node the
+    node with that parent (None: the anchor) and token, the one node the
     acceptance walk descends into, and ``max_depth``, the deepest branch's
     length.  A tree constructed without them has both None, and ``accept``
     refuses it.
@@ -94,9 +96,10 @@ def build_draft_tree(
 
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
-    a reserve.  A chain is added only if all ``fl`` tokens fit.  Both tables
-    list a leader's followers once each (``FrozenTable.load`` rejects a file
-    that repeats one), so no two chains from one node are identical.
+    a reserve.  A chain is added only if all ``fl`` tokens fit.  A follower
+    whose first token an earlier follower of the same popped node has already
+    hung is skipped: it uses no budget and adds nothing to the frontier.  So
+    no two siblings carry the same token.
 
     A context shorter than ``ll`` cannot be queried and yields an empty tree.
     """
@@ -132,20 +135,25 @@ def build_draft_tree(
         while frontier and n <= room:
             parent, tail, depth = item = frontier.popleft()
             limit = anchor_room if parent is None else room
-            hung = False
+            # First tokens of the chains hung below this parent.  A parent is
+            # popped once and is childless when popped, so its (parent, token)
+            # keys are new and ``child`` is filled by plain assignment.
+            firsts = set()
             for follower in lookup(tail):
                 if n > limit:
                     break  # every chain is fl tokens; none of the rest fit
-                hung = True
+                if follower[0] in firsts:
+                    continue  # the walk would take the earlier sibling
+                firsts.add(follower[0])
                 at, d = parent, depth
                 for token in follower:
                     d += 1
-                    child.setdefault((at, token), n)
+                    child[at, token] = n
                     nodes.append(new_node(DraftNode, (token, at, d)))
                     at = n
                     n += 1
                 frontier.append((at, (tail + follower)[-ll:], depth + fl))
-            if not hung:
+            if not firsts:
                 leaves.append(item)
             elif depth + fl > tree.max_depth:
                 tree.max_depth = depth + fl  # where the chains just hung end

@@ -135,7 +135,8 @@ def brute_build_tree(
     Nodes are dicts with token/parent/depth.  Paths are re-derived from
     scratch on every expansion; budget checks mirror the stated rules: a
     whole fl-token chain must fit, chains off the anchor fit within
-    tdl - crt, everything fits within tdl.
+    tdl - crt, everything fits within tdl.  A follower whose first token an
+    earlier follower of the same parent already hung is skipped.
     """
     nodes: list[dict] = []
     if len(context) < ll:
@@ -163,9 +164,9 @@ def brute_build_tree(
                 fol = tuple(fol)
                 if pending_len + len(nodes) + fl > cap:
                     continue
-                if fol in seen:
+                if fol[0] in seen:
                     continue
-                seen.add(fol)
+                seen.add(fol[0])
                 at = parent
                 depth = nodes[parent]["depth"] if parent is not None else 0
                 for token in fol:

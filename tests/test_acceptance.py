@@ -40,8 +40,8 @@ from oracles import (
 # (ll=1 fl=3 lc=4096 fc=32 tdl=48 crt=8, kgram order 3, 200 new tokens/task).
 TREND_CONFIG = dict(ll=1, fl=3, lc=4096, fc=32, tdl=48, crt=8)
 TREND_PINNED = {
-    "dual": (130, 1200),
-    "dynamic": (187, 1200),
+    "dual": (123, 1200),
+    "dynamic": (181, 1200),
     "frozen": (702, 1200),
 }
 

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -400,6 +404,20 @@ class TestMain:
         monkeypatch.setattr(cli, "cmd_bench", lambda cfg, *_: seen.append(cfg) or report)
         assert main(["bench", "--prompts", str(prompts)]) == 0
         assert seen == [RunConfig()]
+
+    def test_closed_stdout_exits_1_quietly(self, tmp_path):
+        prompts = tmp_path / "big.txt"
+        prompts.write_text("\n".join(eval_texts() * 40), encoding="utf-8")  # > 64 KB of JSON
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "ngramspec.cli", "bench", "--prompts", str(prompts)]
+        command += ["--doc-mode", "line", "--format", "json"]
+        env = {**os.environ, "PYTHONPATH": path}
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(300)) == 300
+            proc.stdout.close()  # the reader stops early, as ``head -c 300`` does
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=60) == 1
 
     def test_sweep_bad_length_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -107,9 +107,9 @@ class TestVerifyTree:
         tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=8)
         table = LruCacheTable(tcfg)
         table.insert((0,), (1, 3))
-        table.insert((0,), (1, 2))  # most recent, so earliest-inserted node
+        table.insert((0,), (1, 2))  # most recent, so it is hung first
         tree = build_draft_tree([0], 0, table, None, DraftConfig(8, 0))
-        assert [n.token for n in tree.nodes] == [1, 2, 1, 3]
+        assert [n.token for n in tree.nodes] == [1, 2]  # (1, 3) could never be reached
         stub = PathStub([0], {(): 1, (1,): 2, (1, 2): 9})
         accepted, bonus = accept(tree, [0], stub)
         assert accepted == [0, 1]

@@ -235,6 +235,8 @@ def test_build_matches_brute_force(seed):
         tree = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt))
         expected = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
         assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
+        # No two siblings share a token, so the walk can reach every node.
+        assert len(brute_child_index(as_tuples(tree))) == len(tree.nodes)
         # Query side effects on the dynamic table must also agree.
         assert snapshot(real) == ref.state()
         if frozen is not None:  # frozen-only wiring: no dynamic table at all
