@@ -77,18 +77,24 @@ class Vocab:
     @classmethod
     def load(cls, path: str | Path) -> "Vocab":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, dict) or not isinstance(data.get("words"), list):
+        words = data.get("words") if isinstance(data, dict) else None
+        if not isinstance(words, list):
             raise ValueError(f"{path} is not a vocabulary file")
-        return cls(data["words"], data.get("table_sha256"))
+        # save never writes these: a non-string matches no word, a repeat shifts later ids.
+        if not all(isinstance(word, str) for word in words) or len(set(words)) != len(words):
+            raise ValueError(f"{path} does not list distinct words; rebuild the table")
+        return cls(words, data.get("table_sha256"))
 
 
 def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:
     """Token ids for ``text``: raw UTF-8 bytes (ids 0-255) in byte mode, or
-    whitespace-split words mapped through an insertion-ordered vocabulary."""
+    whitespace-split words mapped through ``vocab``, which that mode requires."""
     if mode == "byte":
         return list(text.encode("utf-8"))
     if mode == "whitespace":
-        return (vocab if vocab is not None else Vocab()).encode(text)
+        if vocab is None:
+            raise ValueError("the whitespace tokenizer needs a vocabulary its texts share")
+        return vocab.encode(text)
     raise ValueError(f"unknown tokenizer mode {mode!r}")
 
 

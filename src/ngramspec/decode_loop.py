@@ -155,35 +155,28 @@ class DecodeState:
         return cls(draft_config, LruCacheTable(table_config), frozen)
 
 
-def accept(
-    tree: DraftTree, committed: list[int], verifier: Verifier
-) -> tuple[list[int], int]:
+def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
     """Greedy acceptance walk over a drafted tree.
 
-    Starting at the anchor, ask the verifier for its greedy next token given
-    ``committed`` plus the path accepted so far, and descend into the
-    child carrying that token (``tree.child``), until no child matches.
-    Returns the accepted node indices and the bonus token (the verifier's
-    token after the last accepted node).  Costs accepted + 1 verifier calls.
-    The path is appended to ``committed`` during the walk and removed again
-    before returning.  A tree without the index that ``build_draft_tree``
-    records is refused.
+    Starting at the anchor, append the verifier's greedy next token to
+    ``committed`` and descend into the child carrying it (``tree.child``),
+    until no child matches.  This leaves the accepted path and then the bonus
+    token appended, and what was appended stays if ``greedy_next`` raises
+    partway.  Returns the number of accepted nodes, after accepted + 1
+    verifier calls.  A tree without the index ``build_draft_tree`` records is
+    refused.
     """
     if tree.child is None:
         raise ValueError("tree has no child index; build it with build_draft_tree")
-    base = len(committed)
-    accepted: list[int] = []
+    accepted = 0
     at: int | None = None
-    try:
-        while True:
-            expect = verifier.greedy_next(committed)
-            at = tree.child.get((at, expect))
-            if at is None:
-                return accepted, expect
-            accepted.append(at)
-            committed.append(expect)
-    finally:
-        del committed[base:]
+    while True:
+        expect = verifier.greedy_next(committed)
+        committed.append(expect)
+        at = tree.child.get((at, expect))
+        if at is None:
+            return accepted
+        accepted += 1
 
 
 def update_tables(state: DecodeState, start: int) -> None:
@@ -225,29 +218,28 @@ def reset(state: DecodeState) -> None:
 def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
     """One draft / accept / update cycle.
 
-    Appends the accepted path plus the bonus token to the committed sequence
-    (truncating at the first EOS), marks the new tokens pending, and feeds
-    them through the sliding-window table update.
+    The acceptance walk appends the accepted path plus the bonus token to the
+    committed sequence; the step cuts them after the first EOS, marks what is
+    left pending, and feeds it through the sliding-window table update.
     """
     tree = build_draft_tree(
         state.committed, state.pending_len, state.dynamic, state.frozen, state.draft_config
     )
-    accepted, bonus = accept(tree, state.committed, verifier)
-
-    emitted = [tree.nodes[i].token for i in accepted]
-    emitted.append(bonus)
+    committed = state.committed
+    start = len(committed)
+    accepted = accept(tree, committed, verifier)
     eos = verifier.eos_token
-    if eos is not None and eos in emitted:
-        emitted = emitted[: emitted.index(eos) + 1]
+    if eos is not None and eos in committed[start:]:
+        del committed[committed.index(eos, start) + 1 :]
 
-    state.committed.extend(emitted)
-    state.pending_len = len(emitted)
-    update_tables(state, len(state.committed) - len(emitted))
+    emitted = len(committed) - start
+    state.pending_len = emitted
+    update_tables(state, start)
 
     return StepMetrics(
         drafted=len(tree.nodes),
-        accepted=min(len(accepted), len(emitted)),
-        emitted=len(emitted),
+        accepted=min(accepted, emitted),
+        emitted=emitted,
         longest_branch=tree.max_depth,
     )
 

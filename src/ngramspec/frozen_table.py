@@ -256,7 +256,8 @@ def _parse(data: bytes) -> FrozenTable:
             raise FrozenTableLoadError("truncated entry", len(data))
         tokens = iter(struct.unpack_from(f"<{fl * n_followers}I", data, offset))
         offset += width
-        followers = tuple(zip(*[tokens] * fl))
+        # zip's argument list holds fl iterators, so skip it when none are stored.
+        followers = tuple(zip(*[tokens] * fl)) if n_followers else ()
         leader = tuple(leader)
         if leader in entries:
             raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)

@@ -41,11 +41,16 @@ class TestTokenize:
         assert tokenize("ab", "byte") == [97, 98]
 
     def test_whitespace_insertion_order(self):
-        assert tokenize("a b a", "whitespace") == [0, 1, 0]
+        assert tokenize("a b a", "whitespace", Vocab()) == [0, 1, 0]
 
     def test_empty_text(self):
         assert tokenize("", "byte") == []
-        assert tokenize("", "whitespace") == []
+        assert tokenize("", "whitespace", Vocab()) == []
+
+    def test_whitespace_needs_a_vocabulary(self):
+        # Without one, every call would number its words from 0.
+        with pytest.raises(ValueError, match="vocabulary"):
+            tokenize("a b", "whitespace")
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -419,6 +424,36 @@ class TestMain:
             assert proc.stderr.read() == b""
             assert proc.wait(timeout=60) == 1
 
+    def test_table_with_a_huge_empty_follower_shape_exits_2(self, tmp_path):
+        # 36 bytes: a header with fl = 2**31 and one leader with no followers.
+        table = tmp_path / "bad.cbft"
+        table.write_bytes(cbft_bytes({(7,): []}, ll=1, fl=2**31, fc=4))
+        prompts = tmp_path / "p.txt"
+        prompts.write_text(distinct_doc(), encoding="utf-8")
+        # Capped address space, so that a load which allocates in proportion
+        # to fl fails in the child instead of filling the machine's memory.
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from ngramspec.cli import main\n"
+            "from ngramspec.frozen_table import FrozenTable\n"
+            "table = FrozenTable.load(sys.argv[1])\n"
+            "print(table.config.fl, table.entries, flush=True)\n"
+            "sys.exit(main(sys.argv[2:]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        run = ["bench", "--tokenizer", "byte", "--prompts", str(prompts), "--table", str(table)]
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(table), *run],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert table.stat().st_size == 36
+        assert done.stdout == f"{2**31} {{(7,): ()}}\n"
+        assert done.returncode == 2
+        assert "does not match configured ll=1,fl=3" in done.stderr
+
     def test_sweep_bad_length_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--prompts", str(tmp_path / "p.txt"), "--ll", "1,x"])
@@ -576,6 +611,27 @@ class TestMain:
                 captured = capsys.readouterr()
                 assert message in captured.err
                 assert captured.out == ""
+
+    def test_sidecar_without_distinct_words_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        table = tmp_path / "t.cbft"
+        sidecar = tmp_path / "t.cbft.vocab.json"
+        assert main(["build-table", str(corpus), "--out", str(table)]) == 0
+        capsys.readouterr()
+        saved = json.loads(sidecar.read_text(encoding="utf-8"))
+        words = saved["words"]
+        run = ["--prompts", str(prompts), "--table", str(table), "--max-new-tokens", "5"]
+        # Not strings, and one word listed twice (which shifts every later id);
+        # the sidecar still names the table's own SHA-256.
+        for bad in ([1, 2, 3], words[:2] + words[:1] + words[2:]):
+            sidecar.write_text(json.dumps({**saved, "words": bad}), encoding="utf-8")
+            assert main(["bench", *run]) == 2
+            captured = capsys.readouterr()
+            assert "does not list distinct words" in captured.err
+            assert captured.out == ""
 
 
 def test_bench_report_render_dispatch():

@@ -68,14 +68,25 @@ class PathStub:
 FOX_CONTEXT = [AT, DAWN, THE, FOX]
 
 
+def walk(tree, context, stub):
+    """``accept`` on a copy of ``context``: the accepted count and the tokens
+    the walk appended."""
+    committed = list(context)
+    return accept(tree, committed, stub), committed[len(context) :]
+
+
+def node_tokens(tree, indices):
+    return [tree.nodes[i].token for i in indices]
+
+
 class TestVerifyTree:
     """The lazy acceptance walk, ``accept``."""
 
     def test_no_child_matches(self):
         stub = PathStub(FOX_CONTEXT, {(): 77})
-        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
-        assert accepted == []
-        assert bonus == 77  # the step still emits exactly one token
+        accepted, appended = walk(fox_tree(), FOX_CONTEXT, stub)
+        assert accepted == 0
+        assert appended == [77]  # the step still emits exactly one token
 
     def test_full_deepest_branch(self):
         stub = PathStub(
@@ -88,20 +99,22 @@ class TestVerifyTree:
                 (SAT, STILL, YOU, COULD): 55,  # continuation after the leaf
             },
         )
-        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
-        assert accepted == [4, 5, 6, 7]
-        assert bonus == 55
+        tree = fox_tree()
+        accepted, appended = walk(tree, FOX_CONTEXT, stub)
+        assert accepted == 4
+        assert appended == node_tokens(tree, [4, 5, 6, 7]) + [55]
         # Emits one plus the longest branch length.
-        assert len(accepted) + 1 == 5
+        assert len(appended) == 5
 
     def test_divergence_keeps_branch_except_last_token(self):
         stub = PathStub(
             FOX_CONTEXT,
             {(): SAT, (SAT,): STILL, (SAT, STILL): YOU, (SAT, STILL, YOU): 42},
         )  # diverges where the draft says COULD
-        accepted, bonus = accept(fox_tree(), FOX_CONTEXT, stub)
-        assert accepted == [4, 5, 6]
-        assert bonus == 42
+        tree = fox_tree()
+        accepted, appended = walk(tree, FOX_CONTEXT, stub)
+        assert accepted == 3
+        assert appended == node_tokens(tree, [4, 5, 6]) + [42]
 
     def test_duplicate_first_tokens_pick_earliest_child(self):
         tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=8)
@@ -111,9 +124,9 @@ class TestVerifyTree:
         tree = build_draft_tree([0], 0, table, None, DraftConfig(8, 0))
         assert [n.token for n in tree.nodes] == [1, 2]  # (1, 3) could never be reached
         stub = PathStub([0], {(): 1, (1,): 2, (1, 2): 9})
-        accepted, bonus = accept(tree, [0], stub)
-        assert accepted == [0, 1]
-        assert bonus == 9
+        accepted, appended = walk(tree, [0], stub)
+        assert accepted == 2
+        assert appended == node_tokens(tree, [0, 1]) + [9]
 
 
 def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic=True):
@@ -328,7 +341,7 @@ def random_configs(rng: random.Random):
 def test_losslessness_randomized(seed):
     rng = random.Random(seed)
     docs = random_docs(rng)
-    verifier = KGramVerifier(rng.randint(1, 3), docs)
+    kgram = KGramVerifier(rng.randint(1, 3), docs)
     ll, fl, lc, fc, tdl, crt = random_configs(rng)
     prompt = docs[0][: rng.randint(1, len(docs[0]))]
     max_new = rng.randint(1, 40)
@@ -337,13 +350,17 @@ def test_losslessness_randomized(seed):
     if use_frozen:
         tcfg = CacheTableConfig(ll, fl, lc, fc)
         frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
-    state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
-    out, metrics = run_decode(state, prompt, verifier, max_new)
-    assert out == greedy_reference(prompt, verifier, max_new)
-    assert metrics.total_emitted == len(out)
-    assert metrics.steps == len(metrics.step_log)
-    for step in metrics.step_log:
-        assert 1 <= step.emitted <= 1 + step.longest_branch or step.longest_branch == 0 and step.emitted == 1
+    # The rest of the document with an EOS id that occurs in the text: a step
+    # can accept EOS as a drafted node, and must cut its emission there.
+    replay = ReplayOracle(len(prompt), docs[0][len(prompt) :], rng.choice(docs[0]))
+    for verifier in (kgram, replay):
+        state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
+        out, metrics = run_decode(state, prompt, verifier, max_new)
+        assert out == greedy_reference(prompt, verifier, max_new)
+        assert metrics.total_emitted == len(out)
+        assert metrics.steps == len(metrics.step_log)
+        for step in metrics.step_log:
+            assert 1 <= step.emitted <= 1 + step.longest_branch or step.longest_branch == 0 and step.emitted == 1
 
 
 @pytest.mark.parametrize("seed", range(25))

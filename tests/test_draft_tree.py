@@ -326,9 +326,11 @@ def test_index_and_accept_match_brute_force():
                 committed = list(context)
                 verifier = PathVerifier(len(context), rng.randrange(10**9), nodes)
                 got = accept(tree, committed, verifier)
-                assert committed == context  # the walk restores the caller's list
-                assert got == linear_accept(nodes, context, verifier.greedy_next)
-                deep_walks += len(got[0]) >= 2
+                indices, bonus = linear_accept(nodes, context, verifier.greedy_next)
+                assert got == len(indices)
+                # The walk leaves the path and the bonus appended.
+                assert committed == context + [nodes[i][0] for i in indices] + [bonus]
+                deep_walks += got >= 2
     assert phase_two >= 100
     assert deep_walks >= 100
 
