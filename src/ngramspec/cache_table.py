@@ -61,9 +61,6 @@ class LruCacheTable:
         self._lc, self._fc = config.lc, config.fc
         self._entries: OrderedDict[Leader, OrderedDict[Follower, None]] = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def query(self, leader: Leader) -> list[Follower]:
         """Return the leader's followers, most recently inserted first.
 

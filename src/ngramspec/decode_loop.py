@@ -11,7 +11,7 @@ model forward pass: a replay oracle for exact-continuation tests and a
 k-gram frequency model for desk-scale benchmarks.  They are sequential, so
 acceptance asks them only for the tokens on the greedy path (accepted + 1
 calls per step).  A batched model pass would instead score every node at
-once over ``pending ++ nodes`` with ``draft_tree.attention_mask``.
+once over ``pending ++ nodes`` under an ancestor mask built from its chains.
 """
 
 from __future__ import annotations
@@ -156,27 +156,33 @@ class DecodeState:
 
 
 def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
-    """Greedy acceptance walk over a drafted tree.
+    """Greedy acceptance walk over a drafted tree, chain by chain.
 
-    Starting at the anchor, append the verifier's greedy next token to
-    ``committed`` and descend into the child carrying it (``tree.child``),
-    until no child matches.  This leaves the accepted path and then the bonus
-    token appended, and what was appended stays if ``greedy_next`` raises
-    partway.  Returns the number of accepted nodes, after accepted + 1
-    verifier calls.  A tree without the index ``build_draft_tree`` records is
-    refused.
+    From the anchor, append the verifier's greedy next token to ``committed``,
+    look up the chain it heads below the current chain end (``tree.child``),
+    and match the next greedy tokens against that chain's remaining tokens,
+    until a token matches no chain.  This leaves the accepted path and then
+    the bonus token appended, and what was appended stays if ``greedy_next``
+    raises partway.  Returns the number of accepted nodes, after accepted + 1
+    verifier calls.  A tree without ``build_draft_tree``'s index is refused.
     """
     if tree.child is None:
         raise ValueError("tree has no child index; build it with build_draft_tree")
-    accepted = 0
-    at: int | None = None
+    accepted, at = 0, None
     while True:
         expect = verifier.greedy_next(committed)
         committed.append(expect)
-        at = tree.child.get((at, expect))
-        if at is None:
+        hit = tree.child.get((at, expect))
+        if hit is None:
             return accepted
+        at, follower = hit
         accepted += 1
+        for token in follower[1:]:
+            expect = verifier.greedy_next(committed)
+            committed.append(expect)
+            if expect != token:
+                return accepted
+            accepted += 1
 
 
 def update_tables(state: DecodeState, start: int) -> None:

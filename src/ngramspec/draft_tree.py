@@ -1,13 +1,13 @@
-"""Speculation-tree construction and the tree-attention mask.
+"""Speculation-tree construction, chain by chain.
 
 A draft tree hangs off the end of the committed sequence.  Its anchor is the
 last committed token; ``pending`` holds the tokens emitted last step that a
-verifier has not consumed yet (they form a chain below the anchor in the
-attention mask).  Each cache follower contributes a linear chain of
-single-token nodes, so branches can be accepted partially; branching happens
-at chain ends.  The acceptance walk descends into one child per token, so a
-follower whose first token an earlier sibling chain already carries could
-never be accepted; it is not drafted, and every node of a tree is reachable.
+verifier has not consumed yet.  Each cache follower is hung whole, as a
+chain of ``fl`` nodes below the anchor or a chain end, and the builder
+records chains, not nodes.  A batched model pass would score ``pending ++
+nodes`` at once under an ancestor mask built from the chains.  A follower
+whose first token an earlier sibling chain carries could never be accepted
+(the walk descends into one child per token), so it is not drafted.
 
 Construction is a breadth-first expansion, one phase per table present: the
 dynamic (recency) table grows the tree first, then the frozen
@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .cache_table import LruCacheTable
+from .cache_table import Follower, LruCacheTable
 from .frozen_table import FrozenTable
 
 
@@ -57,22 +55,56 @@ class DraftNode(NamedTuple):
     depth: int
 
 
+Chain = tuple[int | None, int, Follower]  # (parent chain end, its depth, follower)
+ChildIndex = dict[tuple[int | None, int], tuple[int, Follower]]
+
+
+class ChainNodes(Sequence[DraftNode]):
+    """Read-only view of the nodes of chains of ``fl`` tokens: chain ``c``'s
+    ``k``-th token is node ``c * fl + k``.  Equal to the list of its nodes."""
+
+    __slots__ = ("chains", "fl")
+
+    def __init__(self, chains: list[Chain], fl: int) -> None:
+        self.chains, self.fl = chains, fl
+
+    def __len__(self) -> int:
+        return len(self.chains) * self.fl
+
+    def __getitem__(self, i: int) -> DraftNode:
+        if not -len(self) <= i < len(self):
+            raise IndexError("draft node index out of range")
+        c, k = divmod(i % len(self), self.fl)
+        parent, depth, follower = self.chains[c]
+        return DraftNode(follower[k], c * self.fl + k - 1 if k else parent, depth + k + 1)
+
+    def __iter__(self) -> Iterator[DraftNode]:
+        new, fl = tuple.__new__, self.fl  # skips the NamedTuple's Python-level __new__
+        for c, (parent, depth, follower) in enumerate(self.chains):
+            for k, token in enumerate(follower):
+                yield new(DraftNode, (token, c * fl + k - 1 if k else parent, depth + k + 1))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, ChainNodes)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 @dataclass
 class DraftTree:
     """Draft nodes in insertion order plus the pending (non-verified) chain.
 
     Invariant: ``len(pending) + len(nodes) <= tdl`` for every built tree, and
-    parent indices always precede their children.  As ``build_draft_tree``
-    hangs the nodes it also fills ``child``, which maps (parent, token) to the
-    node with that parent (None: the anchor) and token, the one node the
-    acceptance walk descends into, and ``max_depth``, the deepest branch's
-    length.  A tree constructed without them has both None, and ``accept``
-    refuses it.
+    parents precede children.  ``build_draft_tree`` records chains, viewed as
+    ``nodes`` by ``ChainNodes``; ``child`` maps (parent, first token) to (chain
+    end, follower) of the chain the acceptance walk descends into (parent
+    None: the anchor); ``max_depth`` is the deepest branch's length.  A tree
+    constructed without them has both None, and ``accept`` refuses it.
     """
 
     pending: tuple[int, ...]
-    nodes: list[DraftNode]
-    child: dict[tuple[int | None, int], int] | None = field(default=None, repr=False, compare=False)
+    nodes: Sequence[DraftNode]
+    child: ChildIndex | None = field(default=None, repr=False, compare=False)
     max_depth: int | None = field(default=None, compare=False)
 
 
@@ -89,7 +121,7 @@ def build_draft_tree(
     tail.  Each table present (dynamic, then frozen; ``None`` is absent) runs
     one phase of FIFO breadth-first expansion: pop a chain end, form the
     leader from the last ``ll`` tokens of (context ++ path), and hang each
-    returned follower as a linear chain, feeding new chain ends back into the
+    returned follower as a chain, feeding new chain ends back into the
     frontier.  The first phase starts at the anchor; each later phase starts
     from the chain ends (and the anchor) that the phase before it left
     childless.  The tables present must agree on ``ll`` and ``fl``.
@@ -97,9 +129,8 @@ def build_draft_tree(
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
     a reserve.  A chain is added only if all ``fl`` tokens fit.  A follower
-    whose first token an earlier follower of the same popped node has already
-    hung is skipped: it uses no budget and adds nothing to the frontier.  So
-    no two siblings carry the same token.
+    whose first token an earlier follower of the same popped node has hung is
+    skipped (no budget, no frontier entry), so no two siblings share a token.
 
     A context shorter than ``ll`` cannot be queried and yields an empty tree.
     """
@@ -114,9 +145,9 @@ def build_draft_tree(
     if (tables[-1].config.ll, tables[-1].config.fl) != (ll, fl):  # at most two tables
         raise ValueError("dynamic and frozen tables differ in leader or follower length")
 
-    nodes: list[DraftNode] = []
-    child: dict[tuple[int | None, int], int] = {}
-    tree = DraftTree(tuple(context[-pending_len:]) if pending_len else (), nodes, child, 0)
+    chains: list[Chain] = []
+    child: ChildIndex = {}
+    tree = DraftTree(tuple(context[len(context) - pending_len :]), ChainNodes(chains, fl), child, 0)
     if len(context) < ll:
         return tree
 
@@ -124,7 +155,6 @@ def build_draft_tree(
     # chains off the anchor also keep the crt reserve free.
     room = dcfg.tdl - pending_len - fl
     anchor_room = room - dcfg.crt
-    new_node = tuple.__new__  # skips the NamedTuple's Python-level __new__
     n = 0
     # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
     leaves: list = [(None, tuple(context[-ll:]), 0)]
@@ -135,52 +165,21 @@ def build_draft_tree(
         while frontier and n <= room:
             parent, tail, depth = item = frontier.popleft()
             limit = anchor_room if parent is None else room
-            # First tokens of the chains hung below this parent.  A parent is
-            # popped once and is childless when popped, so its (parent, token)
-            # keys are new and ``child`` is filled by plain assignment.
-            firsts = set()
+            # A parent is popped once and is childless when popped, so a key
+            # already in ``child`` was hung by an earlier sibling just now.
+            before = n
             for follower in lookup(tail):
                 if n > limit:
                     break  # every chain is fl tokens; none of the rest fit
-                if follower[0] in firsts:
+                key = parent, follower[0]
+                if key in child:
                     continue  # the walk would take the earlier sibling
-                firsts.add(follower[0])
-                at, d = parent, depth
-                for token in follower:
-                    d += 1
-                    child[at, token] = n
-                    nodes.append(new_node(DraftNode, (token, at, d)))
-                    at = n
-                    n += 1
-                frontier.append((at, (tail + follower)[-ll:], depth + fl))
-            if not firsts:
+                n += fl
+                chains.append((parent, depth, follower))
+                child[key] = (n - 1, follower)
+                frontier.append((n - 1, (tail + follower)[-ll:], depth + fl))
+            if n == before:
                 leaves.append(item)
             elif depth + fl > tree.max_depth:
                 tree.max_depth = depth + fl  # where the chains just hung end
     return tree
-
-
-def attention_mask(tree: DraftTree) -> np.ndarray:
-    """Ancestor-only attention over (pending ++ nodes).
-
-    Entry [i, j] is True iff j == i or j is a strict ancestor of i.  Pending
-    tokens form a chain every node's path passes through, so the matrix is
-    lower-triangular in insertion order.  This is the mask a batched model
-    pass would use to score every node at once; the sequential stand-in
-    verifiers of ``decode_loop`` walk only the greedy path and never need it.
-    """
-    p = len(tree.pending)
-    n = p + len(tree.nodes)
-    mask = np.zeros((n, n), dtype=bool)
-    for i in range(p):
-        if i:
-            mask[i, :] = mask[i - 1, :]
-        mask[i, i] = True
-    for k, node in enumerate(tree.nodes):
-        i = p + k
-        if node.parent is not None:
-            mask[i, :] = mask[p + node.parent, :]
-        elif p:
-            mask[i, :] = mask[p - 1, :]
-        mask[i, i] = True
-    return mask

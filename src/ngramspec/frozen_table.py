@@ -146,12 +146,9 @@ class FrozenTable:
     config: CacheTableConfig
     entries: dict[Leader, tuple[Follower, ...]]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def query(self, leader: Leader) -> list[Follower]:
-        """Followers for ``leader`` in descending frequency, or []."""
-        return list(self.entries.get(leader, ()))
+    def query(self, leader: Leader) -> tuple[Follower, ...]:
+        """The stored followers for ``leader`` in descending frequency, or ()."""
+        return self.entries.get(leader, ())
 
     def save(self, sink: str | Path | BinaryIO) -> None:
         """Write the table in the CBFT format described in the module docs."""

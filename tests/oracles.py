@@ -185,29 +185,6 @@ def brute_build_tree(
     return nodes
 
 
-def brute_ancestor_mask(pending_len: int, nodes: list[dict]) -> list[list[bool]]:
-    """Ancestor reachability by walking parent links, one pair at a time."""
-    n = pending_len + len(nodes)
-    mask = [[False] * n for _ in range(n)]
-
-    def ancestors(i: int) -> set[int]:
-        out = {i}
-        if i >= pending_len:
-            at = nodes[i - pending_len]["parent"]
-            while at is not None:
-                out.add(pending_len + at)
-                at = nodes[at]["parent"]
-            out.update(range(pending_len))
-        else:
-            out.update(range(i))
-        return out
-
-    for i in range(n):
-        for j in ancestors(i):
-            mask[i][j] = True
-    return mask
-
-
 def brute_child_index(nodes: Sequence[tuple]) -> dict:
     """(parent, token) -> the first node index carrying that pair, found by
     scanning every (token, parent, depth) node in order."""
@@ -215,6 +192,18 @@ def brute_child_index(nodes: Sequence[tuple]) -> dict:
     for i, (token, parent, _depth) in enumerate(nodes):
         if (parent, token) not in index:
             index[(parent, token)] = i
+    return index
+
+
+def brute_chain_index(nodes: list[dict], fl: int) -> dict:
+    """(parent, first token) -> (chain end, chain tokens) for the chains of
+    a ``brute_build_tree`` tree: every ``fl``-th node heads a chain of the
+    ``fl`` nodes that follow it in order."""
+    index: dict = {}
+    for head in range(0, len(nodes), fl):
+        chain = nodes[head : head + fl]
+        key = (chain[0]["parent"], chain[0]["token"])
+        index[key] = (head + fl - 1, tuple(node["token"] for node in chain))
     return index
 
 

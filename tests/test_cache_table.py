@@ -39,7 +39,7 @@ class TestConstruction:
     )
     def test_new_table_is_empty(self, cfg):
         table = LruCacheTable(CacheTableConfig(*cfg))
-        assert len(table) == 0
+        assert len(snapshot(table)) == 0
 
     @pytest.mark.parametrize(
         "cfg", [(0, 3, 4, 2), (1, 0, 4, 2), (1, 3, 0, 2), (1, 3, 4, 0), (-1, 1, 1, 1)]
@@ -86,12 +86,12 @@ class TestInsert:
         table.insert(L(1), L(10))
         assert table.insert(L(1), L(10)) is None
         assert table.query(L(1)) == [L(10)]
-        assert len(table) == 1
+        assert len(snapshot(table)) == 1
 
     def test_leader_capacity_eviction(self):
         table, evicted = replay((1, 1, 1, 2), [(L(1), L(10)), (L(1), L(11)), (L(2), L(20))])
         assert evicted == L(1)
-        assert len(table) == 1
+        assert len(snapshot(table)) == 1
 
     def test_duplicate_insert_refreshes_follower_recency(self):
         # The third insert moves (10,) back to the front.
@@ -110,12 +110,12 @@ class TestLeaderCount:
     def test_counts(self):
         cfg = CacheTableConfig(1, 1, 3, 2)
         table = LruCacheTable(cfg)
-        assert len(table) == 0
+        assert len(snapshot(table)) == 0
         table.insert(L(1), L(10))
-        assert len(table) == 1
+        assert len(snapshot(table)) == 1
         for i in range(cfg.lc + 1):
             table.insert(L(100 + i), L(10))
-        assert len(table) == cfg.lc
+        assert len(snapshot(table)) == cfg.lc
 
 
 class TestPeek:
@@ -174,7 +174,7 @@ def test_capacity_safety(cfg, ops):
             table.query(leader)
         else:
             table.insert(leader, tuple(b + i for i in range(fl)))
-        assert len(table) <= lc
+        assert len(snapshot(table)) <= lc
         assert all(len(fs) <= fc for _, fs in snapshot(table))
 
 
@@ -203,9 +203,9 @@ def test_duplicate_insert_changes_no_counts(ops):
             table.insert((a,), (b,))
     for leader, followers in snapshot(table):
         target = rng.choice(followers)
-        leaders_before = len(table)
+        leaders_before = len(snapshot(table))
         length_before = len(followers)
         table.insert(leader, target)
         peeked = peek(table, leader)
-        assert len(table) == leaders_before
+        assert len(snapshot(table)) == leaders_before
         assert peeked is not None and len(peeked) == length_before

@@ -139,14 +139,14 @@ class TestUpdateTables:
         state = fresh_state(ll=1, fl=3)
         state.committed = [1, 2, 3, 4]  # 3 prior tokens + 1 new
         update_tables(state, 3)
-        assert len(state.dynamic) == 1
+        assert len(snapshot(state.dynamic)) == 1
         assert peek(state.dynamic, (1,)) == [(2, 3, 4)]
 
     def test_short_source_inserts_only_complete_windows(self):
         state = fresh_state(ll=1, fl=3)
         state.committed = [1, 2]
         update_tables(state, 0)
-        assert len(state.dynamic) == 0
+        assert len(snapshot(state.dynamic)) == 0
 
     def test_k_new_tokens_k_insertions(self):
         state = fresh_state(ll=2, fl=2)
@@ -170,7 +170,7 @@ class TestInitFromPrompt:
     def test_short_prompt_no_insertions(self):
         state = fresh_state(ll=1, fl=3)
         init_from_prompt(state, [1, 2, 3])  # needs ll + fl = 4
-        assert len(state.dynamic) == 0
+        assert len(snapshot(state.dynamic)) == 0
         assert state.committed == [1, 2, 3]
         assert state.pending_len == 1
 
@@ -199,7 +199,7 @@ class TestReset:
         state = fresh_state(ll=1, fl=1)
         init_from_prompt(state, [1, 2, 1, 2])
         reset(state)
-        assert len(state.dynamic) == 0
+        assert len(snapshot(state.dynamic)) == 0
         assert state.committed == [] and state.pending_len == 0
 
     def test_reset_retains_frozen(self):

@@ -1,31 +1,24 @@
-"""Draft tree construction, budget/reserve rules, the tree's child index,
-and the attention mask."""
+"""Draft tree construction, budget/reserve rules, the node view over the
+hung chains, and the tree's chain index."""
 
 from __future__ import annotations
 
 import random
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngramspec.cache_table import CacheTableConfig, LruCacheTable
 from ngramspec.decode_loop import accept
-from ngramspec.draft_tree import (
-    DraftConfig,
-    DraftNode,
-    DraftTree,
-    attention_mask,
-    build_draft_tree,
-)
+from ngramspec.draft_tree import DraftConfig, DraftNode, DraftTree, build_draft_tree
 from ngramspec.frozen_table import build_frozen, count_ngrams
 
 from oracles import (
     RefLruTable,
-    brute_ancestor_mask,
     brute_build_tree,
+    brute_chain_index,
     brute_child_index,
     brute_max_depth,
     linear_accept,
@@ -168,34 +161,6 @@ class TestDraftConfig:
             DraftConfig(tdl, crt)
 
 
-class TestMask:
-    def test_single_pending_token(self):
-        tree = DraftTree(pending=(5,), nodes=[])
-        assert attention_mask(tree).tolist() == [[True]]
-
-    def test_linear_chain_is_causal(self):
-        tree = DraftTree(
-            pending=(),
-            nodes=[DraftNode(1, None, 1), DraftNode(2, 0, 2), DraftNode(3, 1, 3)],
-        )
-        expected = np.tril(np.ones((3, 3), dtype=bool))
-        assert np.array_equal(attention_mask(tree), expected)
-
-    def test_branches_do_not_see_each_other(self):
-        table = fox_table()
-        tree = build_draft_tree(
-            [AT, DAWN, THE, FOX], 2, table, None, DraftConfig(tdl=16, crt=4)
-        )
-        mask = attention_mask(tree)
-        p = 2  # pending chain: "the fox"
-        sat_rows = [p + 4, p + 5, p + 6, p + 7]
-        for row in sat_rows:
-            assert mask[row, 0] and mask[row, 1]  # anchor chain
-            assert not mask[row, p + 0] and not mask[row, p + 1]  # "ran fast"
-            assert not mask[row, p + 2] and not mask[row, p + 3]  # "hid deep"
-        assert np.array_equal(mask, np.tril(mask))
-
-
 def random_setup(rng: random.Random):
     ll = rng.randint(1, 2)
     fl = rng.randint(1, 3)
@@ -234,7 +199,13 @@ def test_build_matches_brute_force(seed):
         ll, fl, lc, fc, tdl, crt, real, ref, frozen, frozen_map, context, pending = random_setup(rng)
         tree = build_draft_tree(context, pending, real, frozen, DraftConfig(tdl, crt))
         expected = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
-        assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
+        want = [(n["token"], n["parent"], n["depth"]) for n in expected]
+        assert as_tuples(tree) == want
+        # The node view: its length, every index and iteration agree.
+        assert len(tree.nodes) == len(want)
+        assert [tuple(tree.nodes[i]) for i in range(len(want))] == want
+        assert [tuple(tree.nodes[i - len(want)]) for i in range(len(want))] == want
+        assert [tuple(node) for node in tree.nodes] == want
         # No two siblings share a token, so the walk can reach every node.
         assert len(brute_child_index(as_tuples(tree))) == len(tree.nodes)
         # Query side effects on the dynamic table must also agree.
@@ -245,8 +216,10 @@ def test_build_matches_brute_force(seed):
             assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
 
 
-def clone_table(table: LruCacheTable) -> LruCacheTable:
-    out = LruCacheTable(table.config)
+def clone_table(table: LruCacheTable, out=None):
+    """``table``'s state inserted into ``out`` (by default a new table of its
+    shape), least recent first, so that every recency is kept."""
+    out = LruCacheTable(table.config) if out is None else out
     for leader, followers in snapshot(table):
         for follower in reversed(followers):
             out.insert(leader, follower)
@@ -313,14 +286,18 @@ def test_index_and_accept_match_brute_force():
     for seed in range(40):
         rng = random.Random(3000 + seed)
         for _ in range(20):
-            ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
+            ll, fl, lc, fc, tdl, crt, real, _, frozen, frozen_map, context, pending = (
+                random_setup(rng)
+            )
             dcfg = DraftConfig(tdl, crt)
             for table in [real] if frozen is None else [real, sparse_copy(real)]:
+                ref = clone_table(table, RefLruTable(ll, fl, lc, fc))
                 bare = build_draft_tree(context, pending, clone_table(table), None, dcfg)
                 tree = build_draft_tree(context, pending, table, frozen, dcfg)
                 nodes = as_tuples(tree)
                 phase_two += len(nodes) > len(bare.nodes)  # the frozen phase hung chains
-                assert tree.child == brute_child_index(nodes)
+                brute = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
+                assert tree.child == brute_chain_index(brute, fl)
                 assert tree.max_depth == brute_max_depth(nodes)
 
                 committed = list(context)
@@ -340,24 +317,3 @@ def test_accept_refuses_a_tree_without_index():
     walk = SimpleNamespace(greedy_next=lambda prefix: [5, 6, 9][len(prefix)])
     with pytest.raises(ValueError, match="child index"):
         accept(DraftTree(pending=(1,), nodes=nodes), [], walk)
-
-
-@given(
-    pending=st.integers(0, 3),
-    shape=st.lists(st.integers(0, 100), max_size=64),
-)
-@settings(max_examples=200, deadline=None)
-def test_mask_matches_brute_force(pending, shape):
-    rng = random.Random(42)
-    nodes: list[DraftNode] = []
-    for pick in shape:
-        parent = None if not nodes or pick % 3 == 0 else pick % len(nodes)
-        depth = 1 if parent is None else nodes[parent].depth + 1
-        nodes.append(DraftNode(rng.randrange(50), parent, depth))
-    tree = DraftTree(pending=tuple(range(pending)), nodes=nodes)
-    expected = np.array(brute_ancestor_mask(pending, [n._asdict() for n in nodes]))
-    got = attention_mask(tree)
-    assert got.shape == (pending + len(nodes),) * 2
-    if got.size:
-        assert np.array_equal(got, expected)
-    assert np.array_equal(got, np.tril(got))

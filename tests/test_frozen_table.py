@@ -64,19 +64,19 @@ class TestBuildFrozen:
     def test_top_one_follower(self):
         tcfg = CacheTableConfig(1, 1, 8, 1)
         table = build_frozen(count_ngrams([[1, 2]] * 3 + [[1, 3]], tcfg), tcfg)
-        assert table.query((1,)) == [(2,)]
+        assert table.query((1,)) == ((2,),)
 
     def test_tie_breaks_by_token_order(self):
         tcfg = CacheTableConfig(1, 1, 8, 2)
         table = build_frozen(count_ngrams([[1, 5], [1, 5], [1, 3], [1, 3]], tcfg), tcfg)
-        assert table.query((1,)) == [(3,), (5,)]
+        assert table.query((1,)) == ((3,), (5,))
 
     def test_leader_capacity_keeps_most_frequent(self):
         tcfg = CacheTableConfig(1, 1, 1, 4)
         table = build_frozen(count_ngrams([[1, 9]] * 5 + [[2, 9]] * 3, tcfg), tcfg)
-        assert len(table) == 1
-        assert table.query((1,)) == [(9,)]
-        assert table.query((2,)) == []
+        assert len(table.entries) == 1
+        assert table.query((1,)) == ((9,),)
+        assert table.query((2,)) == ()
 
     def test_counts_of_another_shape_rejected(self):
         counts = count_ngrams([[1, 2, 3]], CacheTableConfig(1, 2, 8, 8))
@@ -87,7 +87,7 @@ class TestBuildFrozen:
 class TestQueryFrozen:
     def test_absent_leader(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))
-        assert table.query((42,)) == []
+        assert table.query((42,)) == ()
 
     def test_repeated_queries_identical(self):
         tcfg = CacheTableConfig(1, 2, 4, 4)
@@ -95,7 +95,7 @@ class TestQueryFrozen:
         table = build_frozen(counts, tcfg)
         first = table.query((1,))
         second = table.query((1,))
-        assert first == second == [(2, 3)]
+        assert first == second == ((2, 3),)
 
 
 class TestSerialization:
