@@ -13,6 +13,7 @@ insert, and eviction are all O(1).
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Collection
 from dataclasses import dataclass
 
 Leader = tuple[int, ...]
@@ -45,7 +46,7 @@ class LruCacheTable:
 
     The outer ``OrderedDict`` orders leaders by recency (least recent first);
     each inner ``OrderedDict`` orders one leader's followers by insertion
-    recency.  A query returns followers most-recently-inserted first and
+    recency (most recent first).  A query returns them in that order and
     refreshes the leader's recency, but never touches follower recency.
 
     Single-writer: one decode task owns a table at a time.  Queries mutate
@@ -61,11 +62,13 @@ class LruCacheTable:
         self._lc, self._fc = config.lc, config.fc
         self._entries: OrderedDict[Leader, OrderedDict[Follower, None]] = OrderedDict()
 
-    def query(self, leader: Leader) -> list[Follower]:
+    def query(self, leader: Leader) -> Collection[Follower]:
         """Return the leader's followers, most recently inserted first.
 
-        Refreshes the leader's recency on a hit.  An absent leader yields an
-        empty list and leaves the table untouched.
+        A hit refreshes the leader's recency and returns a live view, valid
+        until the next insert for that leader (the draft builder makes none
+        while it iterates; the table is single-writer).  An absent leader
+        yields ``()`` and leaves the table untouched.
         """
         if len(leader) != self._ll:
             raise ValueError(
@@ -73,9 +76,9 @@ class LruCacheTable:
             )
         followers = self._entries.get(leader)
         if followers is None:
-            return []
+            return ()
         self._entries.move_to_end(leader)
-        return list(reversed(followers))
+        return followers.keys()
 
     def insert(self, leader: Leader, follower: Follower) -> Leader | Follower | None:
         """Record that ``follower`` was observed right after ``leader``.
@@ -97,11 +100,12 @@ class LruCacheTable:
         if followers is not None:
             self._entries.move_to_end(leader)
             if follower in followers:
-                followers.move_to_end(follower)
+                followers.move_to_end(follower, last=False)
                 return None
             followers[follower] = None
+            followers.move_to_end(follower, last=False)
             if len(followers) > self._fc:
-                return followers.popitem(last=False)[0]
+                return followers.popitem()[0]
             return None
         dropped = None
         if len(self._entries) >= self._lc:

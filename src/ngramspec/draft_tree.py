@@ -155,6 +155,7 @@ def build_draft_tree(
     # chains off the anchor also keep the crt reserve free.
     room = dcfg.tdl - pending_len - fl
     anchor_room = room - dcfg.crt
+    whole = fl >= ll  # a follower then holds its chain end's whole leader
     n = 0
     # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
     leaves: list = [(None, tuple(context[-ll:]), 0)]
@@ -177,7 +178,8 @@ def build_draft_tree(
                 n += fl
                 chains.append((parent, depth, follower))
                 child[key] = (n - 1, follower)
-                frontier.append((n - 1, (tail + follower)[-ll:], depth + fl))
+                next_tail = follower[-ll:] if whole else (tail + follower)[-ll:]
+                frontier.append((n - 1, next_tail, depth + fl))
             if n == before:
                 leaves.append(item)
             elif depth + fl > tree.max_depth:

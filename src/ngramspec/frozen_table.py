@@ -8,10 +8,11 @@ one int64 key whose radix is the largest id + 1, so sorting the keys orders
 the windows lexicographically, and runs of equal keys give each distinct
 window's count.  A leader's count is the sum of its windows' counts.
 
-The built table keeps the ``lc`` most frequent leaders, each with its ``fc``
-most frequent followers in descending frequency.  Ties break by ascending
-lexicographic token-id order so rebuilds are byte-identical.  No leader lists
-a follower twice; loading rejects a file that does.
+The built table keeps the ``lc`` most frequent leaders, each with those of
+its ``fc`` most frequent followers that no more frequent one shares a first
+token with (a draft tree hangs one follower per first token), in descending
+frequency.  Ties break by ascending lexicographic token-id order so rebuilds
+are byte-identical.  Loading rejects a leader with two same-first-token followers.
 
 Serialization format (CBFT), all integers little-endian:
 
@@ -23,8 +24,8 @@ Serialization format (CBFT), all integers little-endian:
     fc             u32
     per leader (stored most-frequent first, ties lexicographic):
         leader tokens    ll x u32
-        follower count   u32
-        follower tokens  (follower count) x (fl x u32)
+        follower count   u32 (at most fc)
+        follower tokens  (follower count) x (fl x u32), distinct first tokens
 """
 
 from __future__ import annotations
@@ -166,7 +167,8 @@ class FrozenTable:
 
 
 def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
-    """Keep the top-``lc`` leaders and, per leader, the top-``fc`` followers.
+    """Keep the top-``lc`` leaders and, per leader, those of its top-``fc``
+    followers whose first token no better-ranked one of them carries.
 
     Ranking is by descending count, then ascending lexicographic token-id
     order, which makes the result (and its serialization) deterministic.
@@ -189,7 +191,11 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
     top = np.argsort(-np.add.reduceat(counts, starts), kind="stable")[: tcfg.lc]
     order = np.lexsort((-counts, group))  # by leader, then by descending count
     kept = order[np.arange(len(order)) - starts[group] < tcfg.fc]
-    sizes = np.minimum(np.diff(starts, append=len(windows)), tcfg.fc)
+    # Rank first, then keep only the best-ranked kept window of each run of
+    # sorted windows that share a leader and a first follower token.
+    run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]])
+    kept = kept[np.sort(np.unique(run[kept], return_index=True)[1])]
+    sizes = np.bincount(group[kept], minlength=len(starts))
     ends = np.cumsum(sizes)
     begins = ends - sizes
     leaders = zip(*windows[starts[top], :ll].T.tolist())
@@ -251,16 +257,17 @@ def _parse(data: bytes) -> FrozenTable:
         width = 4 * fl * n_followers
         if offset + width > len(data):
             raise FrozenTableLoadError("truncated entry", len(data))
-        tokens = iter(struct.unpack_from(f"<{fl * n_followers}I", data, offset))
+        tokens = struct.unpack_from(f"<{fl * n_followers}I", data, offset)
         offset += width
-        # zip's argument list holds fl iterators, so skip it when none are stored.
-        followers = tuple(zip(*[tokens] * fl)) if n_followers else ()
         leader = tuple(leader)
         if leader in entries:
             raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
-        if len(set(followers)) != n_followers:
-            raise FrozenTableLoadError(f"leader {leader!r} lists a follower twice", at)
-        entries[leader] = followers
+        if len(set(tokens[::fl])) != n_followers:
+            raise FrozenTableLoadError(
+                f"leader {leader!r} lists two followers with the same first token; rebuild the table", at
+            )
+        # zip's argument list holds fl iterators, so skip it when none are stored.
+        entries[leader] = tuple(zip(*[iter(tokens)] * fl)) if n_followers else ()
     if offset != len(data):
         raise FrozenTableLoadError("trailing bytes after last leader", offset)
     return FrozenTable(config=config, entries=entries)

@@ -69,20 +69,24 @@ def peek(table, leader):
     """An ``LruCacheTable``'s followers of ``leader``, most recently inserted
     first, read from its entries without touching recency; None if absent."""
     followers = table._entries.get(leader)
-    return None if followers is None else list(reversed(followers))
+    return None if followers is None else list(followers)
 
 
 def snapshot(table) -> list:
     """An ``LruCacheTable``'s whole state read from its entries, in the shape
     of ``RefLruTable.state``: (leader, followers newest-first), LRU to MRU."""
-    return [(leader, list(reversed(followers))) for leader, followers in table._entries.items()]
+    return [(leader, list(followers)) for leader, followers in table._entries.items()]
 
 
 def naive_frozen_map(
-    docs: Sequence[Sequence[int]], ll: int, fl: int, lc: int, fc: int
+    docs: Sequence[Sequence[int]], ll: int, fl: int, lc: int, fc: int, *, stored: bool = False
 ) -> dict[tuple, list[tuple]]:
     """Brute-force frequency table: count every in-document window, sort
-    with explicit comparison keys, keep the top lc leaders / fc followers."""
+    with explicit comparison keys, keep the top lc leaders / fc followers.
+
+    With ``stored``, the map a CBFT file holds: each leader's top fc list is
+    then walked in order, and a follower is dropped when one listed before it
+    starts with the same token."""
     leader_counts: dict[tuple, int] = {}
     follower_counts: dict[tuple, dict[tuple, int]] = {}
     width = ll + fl
@@ -98,7 +102,11 @@ def naive_frozen_map(
     out: dict[tuple, list[tuple]] = {}
     for leader in top_leaders:
         slot = follower_counts[leader]
-        out[leader] = sorted(slot, key=lambda F: (-slot[F], F))[:fc]
+        ranked = sorted(slot, key=lambda F: (-slot[F], F))[:fc]
+        if stored:
+            firsts = [F[0] for F in ranked]
+            ranked = [F for i, F in enumerate(ranked) if F[0] not in firsts[:i]]
+        out[leader] = ranked
     return out
 
 

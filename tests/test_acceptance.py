@@ -110,7 +110,7 @@ def test_lru_oracle_equivalence():
         for i in range(per_config):
             leader = tuple(rng.randrange(pool) for _ in range(ll))
             if rng.random() < 0.45:
-                assert real.query(leader) == ref.query(leader)
+                assert list(real.query(leader)) == ref.query(leader)
             else:
                 follower = tuple(rng.randrange(pool) for _ in range(fl))
                 real.insert(leader, follower)

@@ -52,12 +52,12 @@ class TestConstruction:
 class TestQuery:
     def test_absent_leader_on_empty_table(self):
         table = LruCacheTable(CacheTableConfig(1, 3, 4, 2))
-        assert table.query(L(7)) == []
+        assert list(table.query(L(7))) == []
 
     def test_single_entry_round_trip(self):
         table = LruCacheTable(CacheTableConfig(1, 3, 4, 2))
         table.insert(L(1), L(10, 11, 12))
-        assert table.query(L(1)) == [L(10, 11, 12)]
+        assert list(table.query(L(1))) == [L(10, 11, 12)]
 
     def test_query_refreshes_leader_recency(self):
         # LC=2: insert L1, L2, query L1, insert L3 => L2 evicted.
@@ -79,13 +79,13 @@ class TestInsert:
         ops = [(L(1), L(10)), (L(1), L(11)), (L(1), L(12))]
         table, evicted = replay((1, 1, 4, 2), ops)
         assert evicted == L(10)
-        assert table.query(L(1)) == [L(12), L(11)]
+        assert list(table.query(L(1))) == [L(12), L(11)]
 
     def test_duplicate_insert_is_dedup(self):
         table = LruCacheTable(CacheTableConfig(1, 1, 4, 2))
         table.insert(L(1), L(10))
         assert table.insert(L(1), L(10)) is None
-        assert table.query(L(1)) == [L(10)]
+        assert list(table.query(L(1))) == [L(10)]
         assert len(snapshot(table)) == 1
 
     def test_leader_capacity_eviction(self):
@@ -98,7 +98,7 @@ class TestInsert:
         ops = [(L(1), L(10)), (L(1), L(11)), (L(1), L(10)), (L(1), L(12))]
         table, evicted = replay((1, 1, 4, 2), ops)
         assert evicted == L(11)
-        assert table.query(L(1)) == [L(12), L(10)]
+        assert list(table.query(L(1))) == [L(12), L(10)]
 
     def test_wrong_follower_length_rejected(self):
         table = LruCacheTable(CacheTableConfig(1, 3, 4, 2))
@@ -127,7 +127,7 @@ class TestPeek:
         table = LruCacheTable(CacheTableConfig(1, 1, 2, 2))
         table.insert(L(1), L(10))
         table.insert(L(1), L(11))
-        assert peek(table, L(1)) == table.query(L(1))
+        assert peek(table, L(1)) == list(table.query(L(1)))
 
 
 ops_strategy = st.lists(
@@ -153,7 +153,7 @@ def test_lru_equivalence_with_reference(cfg, ops):
         leader = tuple(a + i for i in range(ll))
         follower = tuple(b + i for i in range(fl))
         if kind == "query":
-            assert real.query(leader) == ref.query(leader)
+            assert list(real.query(leader)) == ref.query(leader)
         else:
             real.insert(leader, follower)
             ref.insert(leader, follower)

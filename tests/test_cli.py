@@ -148,7 +148,8 @@ class TestBuildTable:
         cmd_build_table([src], out, CacheTableConfig(ll, fl, lc, fc))
         ids: dict[str, int] = {}
         docs = [[ids.setdefault(word, len(ids)) for word in text.split()] for text in texts]
-        assert out.read_bytes() == cbft_bytes(naive_frozen_map(docs, ll, fl, lc, fc), ll, fl, fc)
+        expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
+        assert out.read_bytes() == cbft_bytes(expected, ll, fl, fc)
 
     def test_byte_mode_writes_no_sidecar(self, tmp_path):
         src = tmp_path / "corpus.txt"
@@ -453,6 +454,17 @@ class TestMain:
         assert done.stdout == f"{2**31} {{(7,): ()}}\n"
         assert done.returncode == 2
         assert "does not match configured ll=1,fl=3" in done.stderr
+
+    def test_table_with_followers_sharing_a_first_token_exits_2(self, tmp_path, capsys):
+        table = tmp_path / "old.cbft"
+        table.write_bytes(cbft_bytes({(97,): [(98, 99, 100), (98, 98, 98)]}, ll=1, fl=3, fc=4))
+        prompts = tmp_path / "p.txt"
+        prompts.write_text(distinct_doc(), encoding="utf-8")
+        run = ["bench", "--tokenizer", "byte", "--prompts", str(prompts), "--table", str(table)]
+        assert main(run) == 2
+        captured = capsys.readouterr()
+        assert "same first token; rebuild the table (at byte 28)" in captured.err
+        assert captured.out == ""
 
     def test_sweep_bad_length_list_exits_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

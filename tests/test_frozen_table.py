@@ -78,6 +78,17 @@ class TestBuildFrozen:
         assert table.query((1,)) == ((9,),)
         assert table.query((2,)) == ()
 
+    def test_first_token_rule_applies_after_the_fc_cut(self):
+        # Ranked (2, 3) x3, (2, 4) x2, (5, 6) x1: fc=2 keeps the first two, and
+        # (2, 4) shares (2, 3)'s first token.  Applying the rule before the cut
+        # would keep (5, 6), which is ranked past fc.
+        tcfg = CacheTableConfig(1, 2, 8, 2)
+        docs = [[1, 2, 3]] * 3 + [[1, 2, 4]] * 2 + [[1, 5, 6]]
+        table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+        assert table.query((1,)) == ((2, 3),)
+        wider = CacheTableConfig(1, 2, 8, 3)
+        assert build_frozen(count_ngrams(docs, wider), wider).query((1,)) == ((2, 3), (5, 6))
+
     def test_counts_of_another_shape_rejected(self):
         counts = count_ngrams([[1, 2, 3]], CacheTableConfig(1, 2, 8, 8))
         with pytest.raises(ValueError):
@@ -155,9 +166,18 @@ class TestSerialization:
         table = FrozenTable(config=tcfg, entries={(7,): ((8, 9),), (1,): ((2, 3), (2, 3))})
         sink = io.BytesIO()
         table.save(sink)
-        with pytest.raises(FrozenTableLoadError, match="twice") as err:
+        with pytest.raises(FrozenTableLoadError, match="same first token") as err:
             FrozenTable.load(sink.getvalue())
         assert err.value.offset == 28 + 16  # header, then the first entry
+
+    def test_followers_with_one_first_token_rejected_at_their_leader(self):
+        tcfg = CacheTableConfig(1, 2, 4, 4)
+        entries = {(7,): ((8, 9), (9, 8)), (1,): ((5, 6), (2, 3), (2, 4))}
+        sink = io.BytesIO()
+        FrozenTable(config=tcfg, entries=entries).save(sink)
+        with pytest.raises(FrozenTableLoadError, match="same first token.*rebuild") as err:
+            FrozenTable.load(sink.getvalue())
+        assert err.value.offset == 28 + 4 + 4 + 2 * 8  # header, then the first entry
 
     def test_trailing_garbage_rejected(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))
@@ -191,7 +211,7 @@ def test_top_k_matches_naive_sorter(seed):
     ]
     tcfg = CacheTableConfig(ll, fl, lc, fc)
     table = build_frozen(count_ngrams(docs, tcfg), tcfg)
-    expected = naive_frozen_map(docs, ll, fl, lc, fc)
+    expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     # Leader storage order is frequency-descending with lexicographic ties.
     assert list(table.entries) == list(expected)
@@ -235,6 +255,6 @@ def test_wide_ids_and_long_windows_match_naive_sorter(seed):
         docs.append(doc)
     tcfg = CacheTableConfig(ll, fl, lc, fc)
     table = build_frozen(count_ngrams(docs, tcfg), tcfg)
-    expected = naive_frozen_map(docs, ll, fl, lc, fc)
+    expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     assert list(table.entries) == list(expected)
