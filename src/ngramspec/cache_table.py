@@ -110,5 +110,6 @@ class LruCacheTable:
         dropped = None
         if len(self._entries) >= self._lc:
             dropped = self._entries.popitem(last=False)[0]
-        self._entries[leader] = OrderedDict({follower: None})
+        self._entries[leader] = followers = OrderedDict()
+        followers[follower] = None
         return dropped

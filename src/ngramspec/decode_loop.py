@@ -159,7 +159,7 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
     """Greedy acceptance walk over a drafted tree, chain by chain.
 
     From the anchor, append the verifier's greedy next token to ``committed``,
-    look up the chain it heads below the current chain end (``tree.child``),
+    look up the chain it heads in the current chain end's map (``tree.child``),
     and match the next greedy tokens against that chain's remaining tokens,
     until a token matches no chain.  This leaves the accepted path and then
     the bonus token appended, and what was appended stays if ``greedy_next``
@@ -172,7 +172,8 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
     while True:
         expect = verifier.greedy_next(committed)
         committed.append(expect)
-        hit = tree.child.get((at, expect))
+        kids = tree.child.get(at)
+        hit = kids and kids.get(expect)
         if hit is None:
             return accepted
         at, follower = hit

@@ -7,7 +7,9 @@ chain of ``fl`` nodes below the anchor or a chain end, and the builder
 records chains, not nodes.  A batched model pass would score ``pending ++
 nodes`` at once under an ancestor mask built from the chains.  A follower
 whose first token an earlier sibling chain carries could never be accepted
-(the walk descends into one child per token), so it is not drafted.
+(the walk descends into one child per token), so it is not drafted.  The
+frontier queues bare chain ends, which read their depth and leader back from
+the chain records.
 
 Construction is a breadth-first expansion, one phase per table present: the
 dynamic (recency) table grows the tree first, then the frozen
@@ -56,7 +58,7 @@ class DraftNode(NamedTuple):
 
 
 Chain = tuple[int | None, int, Follower]  # (parent chain end, its depth, follower)
-ChildIndex = dict[tuple[int | None, int], tuple[int, Follower]]
+ChildIndex = dict[int | None, dict[int, tuple[int, Follower]]]
 
 
 class ChainNodes(Sequence[DraftNode]):
@@ -96,10 +98,11 @@ class DraftTree:
 
     Invariant: ``len(pending) + len(nodes) <= tdl`` for every built tree, and
     parents precede children.  ``build_draft_tree`` records chains, viewed as
-    ``nodes`` by ``ChainNodes``; ``child`` maps (parent, first token) to (chain
-    end, follower) of the chain the acceptance walk descends into (parent
-    None: the anchor); ``max_depth`` is the deepest branch's length.  A tree
-    constructed without them has both None, and ``accept`` refuses it.
+    ``nodes`` by ``ChainNodes``; ``child`` maps a chain end (``None``: the
+    anchor) to ``{first token: (chain end, follower)}`` of the chains hung
+    below it, the ones the acceptance walk can descend into; no map is empty.
+    ``max_depth`` is the deepest branch's length.  A tree constructed without
+    them has both None, and ``accept`` refuses it.
     """
 
     pending: tuple[int, ...]
@@ -155,33 +158,46 @@ def build_draft_tree(
     # chains off the anchor also keep the crt reserve free.
     room = dcfg.tdl - pending_len - fl
     anchor_room = room - dcfg.crt
-    whole = fl >= ll  # a follower then holds its chain end's whole leader
+    anchor = tuple(context[-ll:])
     n = 0
-    # Frontier items: (chain end, last ll tokens of context ++ its path, its depth).
-    leaves: list = [(None, tuple(context[-ll:]), 0)]
+    # The frontier holds chain ends; None is the anchor.
+    leaves: list[int | None] = [None]
     for table in tables:
         # A phase pops every chain end unless the budget runs out first, so the
         # childless ends it collects, in node order, are the next phase's leaves.
         frontier, leaves, lookup = deque(leaves), [], table.query
         while frontier and n <= room:
-            parent, tail, depth = item = frontier.popleft()
-            limit = anchor_room if parent is None else room
-            # A parent is popped once and is childless when popped, so a key
-            # already in ``child`` was hung by an earlier sibling just now.
-            before = n
-            for follower in lookup(tail):
+            end = frontier.popleft()
+            if end is None:
+                leader, depth, limit = anchor, 0, anchor_room
+            else:
+                parent, depth, leader = chains[end // fl]
+                depth += fl
+                limit = room
+                while len(leader) < ll:  # the leader reaches above this chain
+                    if parent is None:
+                        leader = anchor + leader
+                        break
+                    parent, _, follower = chains[parent // fl]
+                    leader = follower + leader
+                leader = leader[-ll:]
+            # A chain end is popped only while childless, so ``kids`` holds
+            # exactly the siblings hung by this pop.
+            kids: dict[int, tuple[int, Follower]] = {}
+            for follower in lookup(leader):
                 if n > limit:
                     break  # every chain is fl tokens; none of the rest fit
-                key = parent, follower[0]
-                if key in child:
+                first = follower[0]
+                if first in kids:
                     continue  # the walk would take the earlier sibling
                 n += fl
-                chains.append((parent, depth, follower))
-                child[key] = (n - 1, follower)
-                next_tail = follower[-ll:] if whole else (tail + follower)[-ll:]
-                frontier.append((n - 1, next_tail, depth + fl))
-            if n == before:
-                leaves.append(item)
-            elif depth + fl > tree.max_depth:
-                tree.max_depth = depth + fl  # where the chains just hung end
+                chains.append((end, depth, follower))
+                kids[first] = (n - 1, follower)
+                frontier.append(n - 1)
+            if kids:
+                child[end] = kids
+                if depth + fl > tree.max_depth:
+                    tree.max_depth = depth + fl  # where the chains just hung end
+            else:
+                leaves.append(end)
     return tree

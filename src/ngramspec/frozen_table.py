@@ -195,6 +195,9 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
     # sorted windows that share a leader and a first follower token.
     run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]])
     kept = kept[np.sort(np.unique(run[kept], return_index=True)[1])]
+    in_top = np.zeros(len(starts), bool)
+    in_top[top] = True
+    kept = kept[in_top[group[kept]]]  # only the returned leaders' followers become tuples
     sizes = np.bincount(group[kept], minlength=len(starts))
     ends = np.cumsum(sizes)
     begins = ends - sizes

@@ -26,6 +26,7 @@ from ngramspec.draft_tree import DraftConfig, build_draft_tree
 from ngramspec.frozen_table import build_frozen, count_ngrams
 
 from oracles import (
+    RefLruTable,
     SimDecoder,
     brute_kgram_next,
     greedy_reference,
@@ -164,6 +165,42 @@ class TestUpdateTables:
         update_tables(state, 0)
         reset(state)
         assert state.dynamic is None
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_update_tables_matches_reference(seed):
+    """After random inserts into both, ``update_tables`` leaves the table in
+    the state of a ``RefLruTable`` fed, in order, every window of the
+    committed sequence that ends at or after ``start``."""
+    rng = random.Random(4000 + seed)
+    evictions = {"leader": 0, "follower": 0}
+    for _ in range(20):
+        ll, fl, lc, fc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        pool = rng.randint(2, 4)
+        state, ref = fresh_state(ll, fl, lc, fc), RefLruTable(ll, fl, lc, fc)
+        for _ in range(rng.randint(0, 6)):
+            leader = tuple(rng.randrange(pool) for _ in range(ll))
+            follower = tuple(rng.randrange(pool) for _ in range(fl))
+            state.dynamic.insert(leader, follower)
+            ref.insert(leader, follower)
+        committed = [rng.randrange(pool) for _ in range(rng.randint(0, 24))]
+        start = rng.randint(0, len(committed))
+        state.committed = list(committed)
+        update_tables(state, start)
+
+        width = ll + fl
+        for last in range(max(start, width - 1), len(committed)):
+            window = tuple(committed[last - width + 1 : last + 1])
+            leader, follower = window[:ll], window[ll:]
+            followers = ref.peek(leader)
+            if followers is None:
+                evictions["leader"] += len(ref.rows) >= lc
+            elif follower not in followers:
+                evictions["follower"] += len(followers) >= fc
+            ref.insert(leader, follower)
+        assert snapshot(state.dynamic) == ref.state()
+        assert state.committed == committed
+    assert evictions["leader"] > 0 and evictions["follower"] > 0
 
 
 class TestInitFromPrompt:

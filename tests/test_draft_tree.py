@@ -162,7 +162,7 @@ class TestDraftConfig:
 
 
 def random_setup(rng: random.Random):
-    ll = rng.randint(1, 2)
+    ll = rng.randint(1, 3)  # with fl < ll, a leader can span ancestor chains and the anchor
     fl = rng.randint(1, 3)
     lc = rng.randint(2, 8)
     fc = rng.randint(1, 4)
@@ -297,7 +297,13 @@ def test_index_and_accept_match_brute_force():
                 nodes = as_tuples(tree)
                 phase_two += len(nodes) > len(bare.nodes)  # the frozen phase hung chains
                 brute = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
-                assert tree.child == brute_chain_index(brute, fl)
+                flat = {
+                    (parent, first): hit
+                    for parent, kids in tree.child.items()
+                    for first, hit in kids.items()
+                }
+                assert flat == brute_chain_index(brute, fl)
+                assert all(tree.child.values())  # a map is stored only for a pop that hung
                 assert tree.max_depth == brute_max_depth(nodes)
 
                 committed = list(context)
