@@ -7,13 +7,15 @@ insertion, and a follower's recency is compared only against followers of the
 same leader.
 
 Backed by nested ``OrderedDict`` (hash map + doubly linked list), so query,
-insert, and eviction are all O(1).
+insert, and eviction are all O(1).  ``insert_windows`` is the one routine that
+slides the ``ll + fl`` window over a token sequence; it seeds an empty table in
+one backward pass that does not go through ``insert``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 
 Leader = tuple[int, ...]
@@ -51,6 +53,9 @@ class LruCacheTable:
 
     Single-writer: one decode task owns a table at a time.  Queries mutate
     recency, so concurrent readers are not supported.
+
+    ``insert_windows`` leaves the table as one ``insert`` per window would,
+    but seeds an empty table without calling ``insert``.
     """
 
     __slots__ = ("config", "_entries", "_ll", "_fl", "_lc", "_fc")
@@ -113,3 +118,44 @@ class LruCacheTable:
         self._entries[leader] = followers = OrderedDict()
         followers[follower] = None
         return dropped
+
+    def insert_windows(self, tokens: Sequence[int], start: int = 0) -> None:
+        """Insert the (leader, follower) pair of every ``ll + fl`` window of
+        ``tokens`` that ends at or after index ``start``, oldest first.
+
+        The table ends exactly as one ``insert`` per window would leave it.
+        A non-empty table gets one ``insert`` per window.  An empty table is
+        filled in one pass from the newest window back instead (see
+        ``_fill``), unless the windows hold more than ``lc`` distinct leaders.
+        """
+        ll, width = self._ll, self._ll + self._fl
+        src = tuple(tokens[max(0, start - width + 1) :])
+        if not self._entries and self._fill(src):
+            return
+        for i in range(len(src) - width + 1):
+            self.insert(src[i : i + ll], src[i + ll : i + width])
+
+    def _fill(self, src: tuple[int, ...]) -> bool:
+        """Fill the empty table with every window of ``src``, newest first;
+        return False, leaving it empty, past ``lc`` distinct leaders.
+
+        Inserting oldest first would leave each leader the ``fc`` distinct
+        followers it saw last, newest first, and the leaders ordered by their
+        last window: backwards, the first ``fc`` distinct followers met, and
+        the leaders in reverse order of first meeting.  Past ``lc`` leaders,
+        an evicted leader could return with fewer followers.
+        """
+        ll, width, lc, fc = self._ll, self._ll + self._fl, self._lc, self._fc
+        seen: dict[Leader, OrderedDict[Follower, None]] = {}
+        for i in range(len(src) - width, -1, -1):
+            leader = src[i : i + ll]
+            followers = seen.get(leader)
+            if followers is None:
+                if len(seen) == lc:
+                    return False
+                seen[leader] = followers = OrderedDict()
+                followers[src[i + ll : i + width]] = None
+            elif len(followers) < fc:
+                followers.setdefault(src[i + ll : i + width])
+        self._entries = OrderedDict(reversed(seen.items()))
+        return True

@@ -187,30 +187,28 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
 
 
 def update_tables(state: DecodeState, start: int) -> None:
-    """Slide the dynamic table's ``ll + fl`` window over ``state.committed``
-    and insert the (leader, follower) pair of every window that ends at or
-    after index ``start``.
+    """Insert into the dynamic table the (leader, follower) pair of every
+    ``ll + fl`` window of ``state.committed`` that ends at or after index
+    ``start``, through ``LruCacheTable.insert_windows``.
 
-    Seeding a prompt passes 0, so every window of the prompt is inserted; a
-    step passes the committed length before its emission, so each new token
-    terminates exactly one window.  The frozen table is never written, and
-    without a dynamic table nothing is.
+    A step passes the committed length before its emission, so each new
+    token terminates exactly one window.  The frozen table is never written,
+    and without a dynamic table nothing is.
     """
-    table = state.dynamic
-    if table is None:
-        return
-    ll, width = table.config.ll, table.config.ll + table.config.fl
-    src = tuple(state.committed[max(0, start - width + 1) :])
-    for i in range(len(src) - width + 1):
-        table.insert(src[i : i + ll], src[i + ll : i + width])
+    if state.dynamic is not None:
+        state.dynamic.insert_windows(state.committed, start)
 
 
 def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
     """Seed a task: commit the prompt, mark its last token pending, and
-    populate the dynamic table by sliding the n-gram window over the prompt."""
+    insert every window of the prompt into the dynamic table with
+    ``LruCacheTable.insert_windows``, which seeds an empty table in one pass
+    without calling ``insert``.  It does not go through ``update_tables``,
+    which only steps call."""
     state.committed = list(prompt)
     state.pending_len = min(1, len(prompt))
-    update_tables(state, 0)
+    if state.dynamic is not None:
+        state.dynamic.insert_windows(state.committed)
 
 
 def reset(state: DecodeState) -> None:

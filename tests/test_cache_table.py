@@ -33,6 +33,18 @@ def replay(cfg, ops):
     return table, result
 
 
+class CountingTable(LruCacheTable):
+    """An ``LruCacheTable`` that counts its ``insert`` calls."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.insert_calls = 0
+
+    def insert(self, leader, follower):
+        self.insert_calls += 1
+        return super().insert(leader, follower)
+
+
 class TestConstruction:
     @pytest.mark.parametrize(
         "cfg", [(1, 3, 4, 2), (2, 2, 1, 1), (1, 3, 2**20, 128)]
@@ -128,6 +140,57 @@ class TestPeek:
         table.insert(L(1), L(10))
         table.insert(L(1), L(11))
         assert peek(table, L(1)) == list(table.query(L(1)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_insert_windows_matches_reference(seed):
+    """``insert_windows`` leaves the table in the state of a ``RefLruTable``
+    fed, in order, every window of the tokens that ends at or after
+    ``start``: on an empty table, with more than ``lc`` leaders, on a table
+    with earlier inserts, and with ``start > 0``.  Both the one-pass fill
+    (no ``insert`` call) and the per-window path must run many times, and
+    the fill must meet leaders with more than ``fc`` followers."""
+    rng = random.Random(7000 + seed)
+    runs = {"fill": 0, "per_window": 0, "fill_evicts": 0, "many_leaders": 0, "start": 0}
+    for _ in range(120):
+        ll, fl, lc, fc = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        pool = rng.randint(1, 3)
+        table, ref = CountingTable(CacheTableConfig(ll, fl, lc, fc)), RefLruTable(ll, fl, lc, fc)
+        if rng.random() < 0.3:
+            for _ in range(rng.randint(1, 6)):
+                leader = tuple(rng.randrange(pool) for _ in range(ll))
+                follower = tuple(rng.randrange(pool) for _ in range(fl))
+                table.insert(leader, follower)
+                ref.insert(leader, follower)
+        was_empty, table.insert_calls = not ref.rows, 0
+        tokens = [rng.randrange(pool) for _ in range(rng.randint(0, 60))]
+        start = rng.randint(0, len(tokens)) if rng.random() < 0.3 else 0
+        table.insert_windows(tokens, start)
+
+        width = ll + fl
+        leaders, evicts = set(), False
+        for last in range(max(start, width - 1), len(tokens)):
+            window = tuple(tokens[last - width + 1 : last + 1])
+            leader, follower = window[:ll], window[ll:]
+            followers = ref.peek(leader)
+            evicts |= followers is not None and follower not in followers and len(followers) >= fc
+            leaders.add(leader)
+            ref.insert(leader, follower)
+        assert snapshot(table) == ref.state()
+        windows = max(0, len(tokens) - max(start, width - 1))
+        if not windows:
+            continue
+        if was_empty and len(leaders) <= lc:
+            assert table.insert_calls == 0
+            runs["fill"] += 1
+            runs["fill_evicts"] += evicts
+        else:
+            assert table.insert_calls == windows
+            runs["per_window"] += 1
+            runs["many_leaders"] += was_empty
+        runs["start"] += start > 0
+    assert runs["fill"] >= 10 and runs["per_window"] >= 10, runs
+    assert runs["fill_evicts"] >= 5 and runs["many_leaders"] >= 5 and runs["start"] >= 5, runs
 
 
 ops_strategy = st.lists(
