@@ -227,12 +227,6 @@ def _ablate_text(report: Report) -> list[str]:
 _TEXT_LAYOUTS = {"task": _bench_text, "cell": _sweep_text, "wiring": _ablate_text}
 
 
-def _split_task(doc: Sequence[int]) -> tuple[list[int], list[int]]:
-    # Prompt = first half (at least one token), target = remainder.
-    cut = max(1, len(doc) // 2)
-    return list(doc[:cut]), list(doc[cut:])
-
-
 def run_bench(
     cfg: RunConfig,
     docs: Sequence[Sequence[int]],
@@ -267,7 +261,8 @@ def run_bench(
     )
     rows = []
     for i, doc in enumerate(docs):
-        prompt, target = _split_task(doc)
+        cut = max(1, len(doc) // 2)  # prompt: the first half, at least one token
+        prompt, target = doc[:cut], doc[cut:]
         verifier = shared or ReplayOracle(len(prompt), target, EOS_TOKEN)
         reset(state)
         t0 = time.perf_counter()
@@ -475,19 +470,14 @@ def parse_int_list(spec: str) -> list[int]:
     return values
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-
-
 def _add_table_shape_args(p: argparse.ArgumentParser, lengths: Callable = int) -> None:
     # String defaults go through ``type``, so a sweep's default is a list too.
     p.add_argument("--ll", type=lengths, default=str(RunConfig.ll), help="tokens per leader")
     p.add_argument("--fl", type=lengths, default=str(RunConfig.fl), help="tokens per follower")
     p.add_argument("--lc", type=int, default=RunConfig.lc, help="max leaders per table")
     p.add_argument("--fc", type=int, default=RunConfig.fc, help="max followers per leader")
+    p.add_argument("--tokenizer", choices=("whitespace", "byte"), default=RunConfig.tokenizer)
+    p.add_argument("--doc-mode", choices=("line", "file"), default="line")
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -503,11 +493,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--format", choices=("text", "json", "csv"), default=None)
-
-
-def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tokenizer", choices=("whitespace", "byte"), default=RunConfig.tokenizer)
-    p.add_argument("--doc-mode", choices=("line", "file"), default="line")
 
 
 def _config_from_args(args: argparse.Namespace, **shape: int) -> RunConfig:
@@ -529,23 +514,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_build.add_argument("--sample-fraction", type=float, default=1.0)
     p_build.add_argument("--seed", type=int, default=0, help="document sampling seed")
     _add_table_shape_args(p_build)
-    _add_common_args(p_build)
 
-    p_bench = sub.add_parser("bench", help="run the decode benchmark over prompts")
-    _add_table_shape_args(p_bench)
-    _add_run_args(p_bench)
-    _add_common_args(p_bench)
-
-    sweep_help = "benchmark an (ll, fl) grid: --ll and --fl take lists such as 1,2 or 1-5"
-    p_sweep = sub.add_parser("sweep", help=sweep_help, description=sweep_help)
-    _add_table_shape_args(p_sweep, lengths=parse_int_list)
-    _add_run_args(p_sweep)
-    _add_common_args(p_sweep)
-
-    p_ablate = sub.add_parser("ablate", help="compare dual / dynamic-only / frozen-only wirings")
-    _add_table_shape_args(p_ablate)
-    _add_run_args(p_ablate)
-    _add_common_args(p_ablate)
+    grid_help = "benchmark an (ll, fl) grid: --ll and --fl take lists such as 1,2 or 1-5"
+    for name, lengths, summary in (
+        ("bench", int, "run the decode benchmark over prompts"),
+        ("sweep", parse_int_list, grid_help),
+        ("ablate", int, "compare dual / dynamic-only / frozen-only wirings"),
+    ):
+        p_run = sub.add_parser(name, help=summary, description=summary)
+        _add_table_shape_args(p_run, lengths)
+        _add_run_args(p_run)
 
     args = parser.parse_args(argv)
     try:
@@ -561,11 +539,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 seed=args.seed,
             )
             print(f"wrote {out}")
-        elif args.command == "bench":
-            cfg = _config_from_args(args)
-            report = cmd_bench(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
-            _emit(report.render(args.format or "text"), args.out)
-        elif args.command == "sweep":
+            return 0
+        if args.command == "sweep":
             if args.table is not None:
                 raise ValueError(
                     "sweep does not take --table: it rebuilds the frozen table "
@@ -573,11 +548,15 @@ def main(argv: Sequence[str] | None = None) -> int:
                 )
             cfg = _config_from_args(args, ll=args.ll[0], fl=args.fl[0])
             report = cmd_sweep(cfg, args.ll, args.fl, args.prompts, args.corpus, args.doc_mode)
-            _emit(report.render(args.format or "csv"), args.out)
-        elif args.command == "ablate":
+        else:
+            command = cmd_bench if args.command == "bench" else cmd_ablate
             cfg = _config_from_args(args)
-            report = cmd_ablate(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
-            _emit(report.render(args.format or "text"), args.out)
+            report = command(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
+        text = report.render(args.format or ("csv" if args.command == "sweep" else "text"))
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text)
     except BrokenPipeError:
         # The reader closed stdout early: send what is left to devnull, so the
         # flush at exit does not fail again, and exit quietly.

@@ -61,9 +61,9 @@ Chain = tuple[int | None, int, Follower]  # (parent chain end, its depth, follow
 ChildIndex = dict[int | None, dict[int, tuple[int, Follower]]]
 
 
-class ChainNodes(Sequence[DraftNode]):
-    """Read-only view of the nodes of chains of ``fl`` tokens: chain ``c``'s
-    ``k``-th token is node ``c * fl + k``.  Equal to the list of its nodes."""
+class ChainNodes:
+    """Sized, iterable view of the nodes of chains of ``fl`` tokens: chain
+    ``c``'s ``k``-th token is node ``c * fl + k``."""
 
     __slots__ = ("chains", "fl")
 
@@ -73,26 +73,14 @@ class ChainNodes(Sequence[DraftNode]):
     def __len__(self) -> int:
         return len(self.chains) * self.fl
 
-    def __getitem__(self, i: int) -> DraftNode:
-        if not -len(self) <= i < len(self):
-            raise IndexError("draft node index out of range")
-        c, k = divmod(i % len(self), self.fl)
-        parent, depth, follower = self.chains[c]
-        return DraftNode(follower[k], c * self.fl + k - 1 if k else parent, depth + k + 1)
-
     def __iter__(self) -> Iterator[DraftNode]:
         new, fl = tuple.__new__, self.fl  # skips the NamedTuple's Python-level __new__
         for c, (parent, depth, follower) in enumerate(self.chains):
             for k, token in enumerate(follower):
                 yield new(DraftNode, (token, c * fl + k - 1 if k else parent, depth + k + 1))
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (list, ChainNodes)):
-            return list(self) == list(other)
-        return NotImplemented
 
-
-@dataclass
+@dataclass(eq=False)
 class DraftTree:
     """Draft nodes in insertion order plus the pending (non-verified) chain.
 
@@ -102,13 +90,14 @@ class DraftTree:
     anchor) to ``{first token: (chain end, follower)}`` of the chains hung
     below it, the ones the acceptance walk can descend into; no map is empty.
     ``max_depth`` is the deepest branch's length.  A tree constructed without
-    them has both None, and ``accept`` refuses it.
+    them has both None, and ``accept`` refuses it.  Trees compare by identity;
+    compare ``list(tree.nodes)`` to compare their nodes.
     """
 
     pending: tuple[int, ...]
-    nodes: Sequence[DraftNode]
-    child: ChildIndex | None = field(default=None, repr=False, compare=False)
-    max_depth: int | None = field(default=None, compare=False)
+    nodes: list[DraftNode] | ChainNodes
+    child: ChildIndex | None = field(default=None, repr=False)
+    max_depth: int | None = None
 
 
 def build_draft_tree(

@@ -293,6 +293,20 @@ class TestAblate:
         assert dual["wiring"] == "dual"
         assert (dual["steps"], dual["emitted"]) == (agg["steps"], agg["emitted"])
 
+    def test_saved_table_equals_its_corpus(self, tmp_path):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(10)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(2)), encoding="utf-8")
+        cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=40)
+        table = cmd_build_table([corpus], tmp_path / "t.cbft", cfg.table_config())
+        from_table = cmd_ablate(cfg, [prompts], table_path=table)
+        from_corpus = cmd_ablate(cfg, [prompts], corpus_paths=[corpus])
+        keys = ("wiring", "steps", "emitted", "mat")
+        rows = [tuple(row[key] for key in keys) for row in from_table.rows]
+        assert rows == [tuple(row[key] for key in keys) for row in from_corpus.rows]
+        assert rows[2][0] == "frozen" and rows[2][3] > 1.0  # the loaded table drafts
+
     def test_report_has_three_rows(self, tmp_path):
         corpus = tmp_path / "c.txt"
         corpus.write_text("\n".join(background_texts(6)), encoding="utf-8")
@@ -407,9 +421,12 @@ class TestMain:
         prompts.write_text("a b c", encoding="utf-8")
         seen = []
         report = SimpleNamespace(render=lambda fmt: "")
-        monkeypatch.setattr(cli, "cmd_bench", lambda cfg, *_: seen.append(cfg) or report)
-        assert main(["bench", "--prompts", str(prompts)]) == 0
-        assert seen == [RunConfig()]
+        commands = ("bench", "sweep", "ablate")
+        for command in commands:
+            record = lambda cfg, *_, name=command: seen.append((name, cfg)) or report
+            monkeypatch.setattr(cli, f"cmd_{command}", record)
+            assert main([command, "--prompts", str(prompts)]) == 0
+        assert seen == [(command, RunConfig()) for command in commands]
 
     def test_closed_stdout_exits_1_quietly(self, tmp_path):
         prompts = tmp_path / "big.txt"

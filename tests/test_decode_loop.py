@@ -77,7 +77,8 @@ def walk(tree, context, stub):
 
 
 def node_tokens(tree, indices):
-    return [tree.nodes[i].token for i in indices]
+    nodes = list(tree.nodes)
+    return [nodes[i].token for i in indices]
 
 
 class TestVerifyTree:
