@@ -9,15 +9,15 @@ verifier; speculation only changes how many steps that takes.
 Verifiers are deterministic next-token oracles standing in for a language
 model forward pass: a replay oracle for exact-continuation tests and a
 k-gram frequency model for desk-scale benchmarks.  They are sequential, so
-acceptance asks them only for the tokens on the greedy path (accepted + 1
-calls per step).  A batched model pass would instead score every node at
+acceptance asks them only for the tokens on the greedy path, one call per
+emitted token.  A batched model pass would instead score every node at
 once over ``pending ++ nodes`` under an ancestor mask built from its chains.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable
@@ -98,8 +98,8 @@ class KGramVerifier:
 @dataclass(frozen=True)
 class StepMetrics:
     """One decoding step: nodes drafted, draft tokens accepted, tokens
-    emitted (accepted + bonus, truncated at EOS), and the step tree's
-    longest branch."""
+    emitted (accepted + bonus, ending at EOS or the token cap), and the step
+    tree's longest branch."""
 
     drafted: int
     accepted: int
@@ -155,7 +155,7 @@ class DecodeState:
         return cls(draft_config, LruCacheTable(table_config), frozen)
 
 
-def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
+def accept(tree: DraftTree, committed: list[int], verifier: Verifier, limit: int) -> int:
     """Greedy acceptance walk over a drafted tree, chain by chain.
 
     From the anchor, append the verifier's greedy next token to ``committed``,
@@ -163,27 +163,31 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier) -> int:
     and match the next greedy tokens against that chain's remaining tokens,
     until a token matches no chain.  This leaves the accepted path and then
     the bonus token appended, and what was appended stays if ``greedy_next``
-    raises partway.  Returns the number of accepted nodes, after accepted + 1
-    verifier calls.  A tree without ``build_draft_tree``'s index is refused.
+    raises partway.  The walk also ends after a matched token that is EOS or
+    that makes ``limit`` appended tokens, so it appends exactly what the step
+    emits: one call per emitted token.  Returns the number of accepted
+    nodes.  A tree without ``build_draft_tree``'s index is refused.
     """
     if tree.child is None:
         raise ValueError("tree has no child index; build it with build_draft_tree")
-    accepted, at = 0, None
+    eos, end = verifier.eos_token, len(committed) + limit
+    accepted, at, rest = 0, None, iter(())
     while True:
         expect = verifier.greedy_next(committed)
         committed.append(expect)
-        kids = tree.child.get(at)
-        hit = kids and kids.get(expect)
-        if hit is None:
-            return accepted
-        at, follower = hit
-        accepted += 1
-        for token in follower[1:]:
-            expect = verifier.greedy_next(committed)
-            committed.append(expect)
-            if expect != token:
+        token = next(rest, None)  # the current chain's next token; None at its end
+        if token is None:
+            kids = tree.child.get(at)
+            hit = kids and kids.get(expect)
+            if hit is None:
                 return accepted
-            accepted += 1
+            at, follower = hit
+            rest = iter(follower[1:])
+        elif token != expect:
+            return accepted
+        accepted += 1
+        if expect == eos or len(committed) >= end:
+            return accepted
 
 
 def update_tables(state: DecodeState, start: int) -> None:
@@ -220,31 +224,25 @@ def reset(state: DecodeState) -> None:
     state.pending_len = 0
 
 
-def decode_step(state: DecodeState, verifier: Verifier) -> StepMetrics:
-    """One draft / accept / update cycle.
+def decode_step(state: DecodeState, verifier: Verifier, limit: int) -> StepMetrics:
+    """One draft / accept / update cycle emitting at most ``limit`` tokens.
 
-    The acceptance walk appends the accepted path plus the bonus token to the
-    committed sequence; the step cuts them after the first EOS, marks what is
-    left pending, and feeds it through the sliding-window table update.
+    The acceptance walk appends the step's emission to the committed
+    sequence; the step marks it pending and feeds it through the
+    sliding-window table update.
     """
     tree = build_draft_tree(
         state.committed, state.pending_len, state.dynamic, state.frozen, state.draft_config
     )
-    committed = state.committed
-    start = len(committed)
-    accepted = accept(tree, committed, verifier)
-    eos = verifier.eos_token
-    if eos is not None and eos in committed[start:]:
-        del committed[committed.index(eos, start) + 1 :]
-
-    emitted = len(committed) - start
-    state.pending_len = emitted
+    start = len(state.committed)
+    accepted = accept(tree, state.committed, verifier, limit)
+    state.pending_len = len(state.committed) - start
     update_tables(state, start)
 
     return StepMetrics(
         drafted=len(tree.nodes),
-        accepted=min(accepted, emitted),
-        emitted=emitted,
+        accepted=accepted,
+        emitted=state.pending_len,
         longest_branch=tree.max_depth,
     )
 
@@ -258,9 +256,8 @@ def run_decode(
     """Decode a task end to end and report acceptance statistics.
 
     Steps until ``max_new_tokens`` are produced or EOS is emitted, collecting
-    the rows ``decode_step`` returns.  Output past ``max_new_tokens`` is
-    truncated, and so are the last row's ``accepted`` and ``emitted``, so that
-    ``mat * steps == len(output)`` exactly.
+    the rows ``decode_step`` returns; each step is capped at the tokens still
+    to produce, so ``mat * steps == len(output)`` exactly.
     """
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be at least 1")
@@ -269,19 +266,12 @@ def run_decode(
     log: list[StepMetrics] = []
     produced = 0
     while produced < max_new_tokens:
-        step = decode_step(state, verifier)
+        step = decode_step(state, verifier, max_new_tokens - produced)
         log.append(step)
         produced += step.emitted
-        if eos is not None and state.committed[-1] == eos:
+        if state.committed[-1] == eos:
             break
-
-    if produced > max_new_tokens:
-        last = log[-1]
-        kept = last.emitted - (produced - max_new_tokens)
-        log[-1] = replace(last, accepted=min(last.accepted, kept), emitted=kept)
-    prompt_len = len(prompt)
-    output = state.committed[prompt_len : prompt_len + max_new_tokens]
-    return output, RunMetrics(tuple(log))
+    return state.committed[len(prompt) :], RunMetrics(tuple(log))
 
 
 def greedy_decode(prompt: Sequence[int], verifier: Verifier, max_new_tokens: int) -> list[int]:

@@ -267,7 +267,6 @@ def greedy_reference(
     prompt: Sequence[int],
     verifier,
     max_new_tokens: int,
-    stop_at_eos: bool = True,
 ) -> list[int]:
     """One-token-at-a-time greedy decoding, the losslessness baseline."""
     seq = list(prompt)
@@ -276,7 +275,7 @@ def greedy_reference(
         token = verifier.greedy_next(seq)
         seq.append(token)
         out.append(token)
-        if stop_at_eos and verifier.eos_token is not None and token == verifier.eos_token:
+        if verifier.eos_token is not None and token == verifier.eos_token:
             break
     return out
 
@@ -329,7 +328,7 @@ class SimDecoder:
         self.pending_len = min(1, len(prompt))
         self._insert_windows(prompt)
 
-    def step(self, verifier, stop_at_eos: bool = True) -> list[int]:
+    def step(self, verifier) -> list[int]:
         nodes = brute_build_tree(
             self.committed,
             self.pending_len,
@@ -363,7 +362,7 @@ class SimDecoder:
             accepted += 1
             candidates = [i for i, n in enumerate(nodes) if n["parent"] == match]
         emitted = greedy[: accepted + 1]
-        if stop_at_eos and verifier.eos_token is not None and verifier.eos_token in emitted:
+        if verifier.eos_token is not None and verifier.eos_token in emitted:
             emitted = emitted[: emitted.index(verifier.eos_token) + 1]
         window = self.committed[-(self.ll + self.fl - 1) :] + emitted
         self.committed.extend(emitted)
@@ -377,18 +376,17 @@ class SimDecoder:
         prompt: Sequence[int],
         verifier,
         max_new_tokens: int,
-        stop_at_eos: bool = True,
     ) -> tuple[list[int], int, int]:
-        """Full task; returns (output tokens, steps, emitted total) with the
-        same overshoot truncation as the engine."""
+        """Full task; returns (output tokens, steps, emitted total), with the
+        output and the total cut at ``max_new_tokens``."""
         self.init_from_prompt(prompt)
         produced = 0
         steps = 0
         while produced < max_new_tokens:
-            emitted = self.step(verifier, stop_at_eos)
+            emitted = self.step(verifier)
             produced += len(emitted)
             steps += 1
-            if stop_at_eos and verifier.eos_token is not None and self.committed[-1] == verifier.eos_token:
+            if verifier.eos_token is not None and self.committed[-1] == verifier.eos_token:
                 break
         output = self.committed[len(prompt) : len(prompt) + max_new_tokens]
         return output, steps, len(output) if produced > max_new_tokens else produced

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngramspec import decode_loop
 from ngramspec.cache_table import CacheTableConfig, LruCacheTable
 from ngramspec.decode_loop import (
     DecodeState,
@@ -36,6 +37,8 @@ from oracles import (
 )
 
 EOS = 0xFFFF_FFFF
+# A step limit no walk here reaches: more than any tree's depth plus one.
+UNCAPPED = 10**6
 
 # Token ids reused from the draft-tree fixtures.
 AT, DAWN, THE, FOX = 10, 11, 0, 1
@@ -58,6 +61,8 @@ class PathStub:
     """Greedy oracle keyed on the tokens past ``committed``: the path drafted
     so far maps to its next token, and any other path predicts 99."""
 
+    eos_token = None
+
     def __init__(self, committed, next_token):
         self.committed_len = len(committed)
         self.next_token = next_token
@@ -73,7 +78,7 @@ def walk(tree, context, stub):
     """``accept`` on a copy of ``context``: the accepted count and the tokens
     the walk appended."""
     committed = list(context)
-    return accept(tree, committed, stub), committed[len(context) :]
+    return accept(tree, committed, stub, UNCAPPED), committed[len(context) :]
 
 
 def node_tokens(tree, indices):
@@ -271,7 +276,7 @@ class TestDecodeStep:
         state = fresh_state()
         oracle = ReplayOracle(3, [7, 8, 9], EOS)
         init_from_prompt(state, [1, 2, 3])
-        metrics = decode_step(state, oracle)
+        metrics = decode_step(state, oracle, UNCAPPED)
         assert metrics.emitted == 1 and metrics.accepted == 0 and metrics.drafted == 0
         assert state.committed == [1, 2, 3, 7]
         assert state.pending_len == 1
@@ -288,7 +293,7 @@ class TestDecodeStep:
         sim.init_from_prompt(prompt)
         for _ in range(4):
             before = len(state.committed)
-            metrics = decode_step(state, oracle)
+            metrics = decode_step(state, oracle, UNCAPPED)
             engine_emitted = state.committed[before:]
             assert engine_emitted == sim.step(oracle)
             assert metrics.emitted == len(engine_emitted)
@@ -420,7 +425,7 @@ def test_step_oracle_equivalence_randomized(seed):
     sim.init_from_prompt(prompt)
     for _ in range(rng.randint(1, 8)):
         before = len(state.committed)
-        decode_step(state, verifier)
+        decode_step(state, verifier, UNCAPPED)
         assert state.committed[before:] == sim.step(verifier)
         assert snapshot(state.dynamic) == sim.dynamic.state()
 
@@ -439,7 +444,10 @@ class CountingVerifier:
         return self.inner.greedy_next(prefix)
 
 
-def test_verifier_calls_are_accepted_plus_one():
+def test_verifier_calls_are_accepted_plus_one(monkeypatch):
+    """A step asks the verifier once per token it emits: accepted + 1 when
+    the walk ends on a mismatch, and accepted alone when a run's last step
+    ends on a drafted EOS or at ``max_new_tokens``."""
     rejected = 0
     for seed in range(20):
         rng = random.Random(20_000 + seed)
@@ -454,11 +462,70 @@ def test_verifier_calls_are_accepted_plus_one():
         init_from_prompt(state, docs[0][: rng.randint(1, len(docs[0]))])
         for _ in range(rng.randint(1, 8)):
             before = verifier.calls
-            step = decode_step(state, verifier)
+            step = decode_step(state, verifier, UNCAPPED)
             assert verifier.calls - before == step.accepted + 1
             rejected += step.drafted - step.accepted
     # Drafted nodes off the greedy path were never handed to the verifier.
     assert rejected > 0
+
+    step_calls: list[int] = []
+
+    def counted_step(state, verifier, limit):
+        before = verifier.calls
+        step = decode_step(state, verifier, limit)
+        step_calls.append(verifier.calls - before)
+        return step
+
+    monkeypatch.setattr(decode_loop, "decode_step", counted_step)
+    cut = {"cap": 0, "eos": 0}
+    for seed in range(40):
+        rng = random.Random(30_000 + seed)
+        docs = random_docs(rng)
+        ll, fl, lc, fc, tdl, crt = random_configs(rng)
+        prompt = docs[0][: rng.randint(1, len(docs[0]))]
+        max_new = rng.randint(1, 40)
+        kgram = KGramVerifier(rng.randint(1, 3), docs)
+        # An EOS id that occurs in the text, so a drafted node can be EOS.
+        replay = ReplayOracle(len(prompt), docs[0][len(prompt) :], rng.choice(docs[0]))
+        for inner in (kgram, replay):
+            verifier = CountingVerifier(inner)
+            step_calls.clear()
+            out, metrics = run_decode(fresh_state(ll, fl, lc, fc, tdl, crt), prompt, verifier, max_new)
+            *body, last = metrics.step_log
+            assert step_calls == [step.emitted for step in metrics.step_log]
+            assert all(step.emitted == step.accepted + 1 for step in body)
+            if last.emitted == last.accepted:
+                ended_on_eos = out[-1] == inner.eos_token
+                assert ended_on_eos or len(out) == max_new
+                cut["eos" if ended_on_eos else "cap"] += 1
+            else:
+                assert last.emitted == last.accepted + 1
+    assert cut["cap"] > 0 and cut["eos"] > 0
+
+
+def test_capped_run_teaches_the_table_only_its_output():
+    """The dynamic table learns the windows of ``prompt + output`` and no
+    token past ``max_new_tokens``.  No leader is evicted here, so the
+    leader → followers map, which draft queries do not touch, equals that of
+    a reference fed every window in order; only the leaders' recency order,
+    which queries refresh, is left out of the comparison."""
+    cut = 0
+    for seed in range(40):
+        rng = random.Random(40_000 + seed)
+        docs = random_docs(rng)
+        verifier = KGramVerifier(rng.randint(1, 3), docs)
+        ll, fl, _, fc, tdl, crt = random_configs(rng)
+        prompt = docs[0][: rng.randint(1, len(docs[0]))]
+        max_new = rng.randint(1, 40)
+        state = fresh_state(ll, fl, 4096, fc, tdl, crt)
+        out, metrics = run_decode(state, prompt, verifier, max_new)
+        ref, seq, width = RefLruTable(ll, fl, 4096, fc), prompt + out, ll + fl
+        for i in range(len(seq) - width + 1):
+            ref.insert(tuple(seq[i : i + ll]), tuple(seq[i + ll : i + width]))
+        assert dict(snapshot(state.dynamic)) == dict(ref.state())
+        last = metrics.step_log[-1]
+        cut += last.emitted == last.accepted  # the cap cut a chain
+    assert cut > 0
 
 
 @given(

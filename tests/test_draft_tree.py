@@ -254,6 +254,8 @@ class PathVerifier:
     branch continues it, a token from ``range(6)`` (every ``random_setup``
     token)."""
 
+    eos_token = None
+
     def __init__(self, committed_len: int, salt: int, nodes) -> None:
         self.committed_len = committed_len
         self.salt = salt
@@ -306,7 +308,7 @@ def test_index_and_accept_match_brute_force():
 
                 committed = list(context)
                 verifier = PathVerifier(len(context), rng.randrange(10**9), nodes)
-                got = accept(tree, committed, verifier)
+                got = accept(tree, committed, verifier, len(nodes) + 1)
                 indices, bonus = linear_accept(nodes, context, verifier.greedy_next)
                 assert got == len(indices)
                 # The walk leaves the path and the bonus appended.
@@ -318,6 +320,6 @@ def test_index_and_accept_match_brute_force():
 
 def test_accept_refuses_a_tree_without_index():
     nodes = [DraftNode(5, None, 1), DraftNode(6, 0, 2)]
-    walk = SimpleNamespace(greedy_next=lambda prefix: [5, 6, 9][len(prefix)])
+    walk = SimpleNamespace(eos_token=None, greedy_next=lambda prefix: [5, 6, 9][len(prefix)])
     with pytest.raises(ValueError, match="child index"):
-        accept(DraftTree(pending=(1,), nodes=nodes), [], walk)
+        accept(DraftTree(pending=(1,), nodes=nodes), [], walk, 3)
