@@ -22,13 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable
-from .decode_loop import (
-    DecodeState,
-    KGramVerifier,
-    ReplayOracle,
-    reset,
-    run_decode,
-)
+from .decode_loop import DecodeState, KGramVerifier, ReplayOracle, run_decode
 from .draft_tree import DraftConfig
 from .frozen_table import FrozenTable, build_frozen, count_ngrams
 
@@ -237,8 +231,8 @@ def run_bench(
     one ``task`` row per document and an ``aggregate`` closing line.
 
     mode selects the table wiring: "dual" (both tables), "dynamic" (no
-    frozen table), "frozen" (no dynamic table).  One state is reused and
-    reset between tasks.
+    frozen table), "frozen" (no dynamic table).  One state is reused;
+    ``run_decode`` starts each task from a fresh dynamic table.
     """
     if mode not in MODES:
         raise ValueError(f"unknown wiring mode {mode!r}")
@@ -264,7 +258,6 @@ def run_bench(
         cut = max(1, len(doc) // 2)  # prompt: the first half, at least one token
         prompt, target = doc[:cut], doc[cut:]
         verifier = shared or ReplayOracle(len(prompt), target, EOS_TOKEN)
-        reset(state)
         t0 = time.perf_counter()
         _, metrics = run_decode(state, prompt, verifier, cfg.max_new_tokens)
         wall = time.perf_counter() - t0
@@ -392,7 +385,7 @@ def cmd_bench(
     docs, frozen, corpus = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
     if corpus is not None:
         frozen = _build_table(corpus, cfg.table_config())
-    return run_bench(cfg, docs, frozen, mode="dual")
+    return run_bench(cfg, docs, frozen, mode="dynamic" if frozen is None else "dual")
 
 
 def cmd_sweep(

@@ -30,7 +30,6 @@ class Verifier(Protocol):
     ``prefix`` list may change once ``greedy_next`` returns; copy what you keep."""
 
     eos_token: int | None
-    vocab_size: int | None
 
     def greedy_next(self, prefix: Sequence[int]) -> int: ...
 
@@ -45,7 +44,6 @@ class ReplayOracle:
         self.prompt_len = prompt_len
         self.continuation = tuple(continuation)
         self.eos_token = eos_token
-        self.vocab_size: int | None = None
 
     def greedy_next(self, prefix: Sequence[int]) -> int:
         at = len(prefix) - self.prompt_len
@@ -166,10 +164,8 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier, limit: int
     raises partway.  The walk also ends after a matched token that is EOS or
     that makes ``limit`` appended tokens, so it appends exactly what the step
     emits: one call per emitted token.  Returns the number of accepted
-    nodes.  A tree without ``build_draft_tree``'s index is refused.
+    nodes.
     """
-    if tree.child is None:
-        raise ValueError("tree has no child index; build it with build_draft_tree")
     eos, end = verifier.eos_token, len(committed) + limit
     accepted, at, rest = 0, None, iter(())
     while True:
@@ -203,25 +199,16 @@ def update_tables(state: DecodeState, start: int) -> None:
         state.dynamic.insert_windows(state.committed, start)
 
 
-def init_from_prompt(state: DecodeState, prompt: Sequence[int]) -> None:
-    """Seed a task: commit the prompt, mark its last token pending, and
-    insert every window of the prompt into the dynamic table with
-    ``LruCacheTable.insert_windows``, which seeds an empty table in one pass
-    without calling ``insert``.  It does not go through ``update_tables``,
-    which only steps call."""
+def reset(state: DecodeState, prompt: Sequence[int] = ()) -> None:
+    """Start a task on the state: a fresh dynamic table of the same shape (if
+    it has one), ``prompt`` committed with its last token pending, and every
+    window of the prompt inserted through ``LruCacheTable.insert_windows``,
+    which seeds the empty table in one pass.  The frozen table is retained."""
     state.committed = list(prompt)
     state.pending_len = min(1, len(prompt))
     if state.dynamic is not None:
-        state.dynamic.insert_windows(state.committed)
-
-
-def reset(state: DecodeState) -> None:
-    """Fresh task on the same state: empty dynamic table of the same shape
-    (if it has one) and cleared sequence.  The frozen table is retained."""
-    if state.dynamic is not None:
         state.dynamic = LruCacheTable(state.dynamic.config)
-    state.committed = []
-    state.pending_len = 0
+        state.dynamic.insert_windows(state.committed)
 
 
 def decode_step(state: DecodeState, verifier: Verifier, limit: int) -> StepMetrics:
@@ -255,13 +242,14 @@ def run_decode(
 ) -> tuple[list[int], RunMetrics]:
     """Decode a task end to end and report acceptance statistics.
 
-    Steps until ``max_new_tokens`` are produced or EOS is emitted, collecting
-    the rows ``decode_step`` returns; each step is capped at the tokens still
-    to produce, so ``mat * steps == len(output)`` exactly.
+    The task starts from ``reset(state, prompt)``, whatever the state ran
+    before.  Steps until ``max_new_tokens`` are produced or EOS is emitted,
+    collecting the rows ``decode_step`` returns; each step is capped at the
+    tokens still to produce, so ``mat * steps == len(output)`` exactly.
     """
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be at least 1")
-    init_from_prompt(state, prompt)
+    reset(state, prompt)
     eos = verifier.eos_token
     log: list[StepMetrics] = []
     produced = 0

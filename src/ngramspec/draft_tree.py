@@ -89,15 +89,16 @@ class DraftTree:
     ``nodes`` by ``ChainNodes``; ``child`` maps a chain end (``None``: the
     anchor) to ``{first token: (chain end, follower)}`` of the chains hung
     below it, the ones the acceptance walk can descend into; no map is empty.
-    ``max_depth`` is the deepest branch's length.  A tree constructed without
-    them has both None, and ``accept`` refuses it.  Trees compare by identity;
-    compare ``list(tree.nodes)`` to compare their nodes.
+    ``max_depth`` is the deepest branch's length.  A tree given only its
+    nodes has an empty index and depth 0, so the walk takes none of them.
+    Trees compare by identity; compare ``list(tree.nodes)`` to compare their
+    nodes.
     """
 
     pending: tuple[int, ...]
     nodes: list[DraftNode] | ChainNodes
-    child: ChildIndex | None = field(default=None, repr=False)
-    max_depth: int | None = None
+    child: ChildIndex = field(default_factory=dict, repr=False)
+    max_depth: int = 0
 
 
 def build_draft_tree(

@@ -328,7 +328,8 @@ class SimDecoder:
         self.pending_len = min(1, len(prompt))
         self._insert_windows(prompt)
 
-    def step(self, verifier) -> list[int]:
+    def step(self, verifier, limit: int) -> list[int]:
+        """One step emitting at most ``limit`` tokens, ending after EOS."""
         nodes = brute_build_tree(
             self.committed,
             self.pending_len,
@@ -364,6 +365,7 @@ class SimDecoder:
         emitted = greedy[: accepted + 1]
         if verifier.eos_token is not None and verifier.eos_token in emitted:
             emitted = emitted[: emitted.index(verifier.eos_token) + 1]
+        emitted = emitted[:limit]
         window = self.committed[-(self.ll + self.fl - 1) :] + emitted
         self.committed.extend(emitted)
         self.pending_len = len(emitted)
@@ -377,16 +379,15 @@ class SimDecoder:
         verifier,
         max_new_tokens: int,
     ) -> tuple[list[int], int, int]:
-        """Full task; returns (output tokens, steps, emitted total), with the
-        output and the total cut at ``max_new_tokens``."""
+        """Full task; returns (output tokens, steps, emitted total).  Each
+        step is capped at the tokens still to produce."""
         self.init_from_prompt(prompt)
         produced = 0
         steps = 0
         while produced < max_new_tokens:
-            emitted = self.step(verifier)
+            emitted = self.step(verifier, max_new_tokens - produced)
             produced += len(emitted)
             steps += 1
             if verifier.eos_token is not None and self.committed[-1] == verifier.eos_token:
                 break
-        output = self.committed[len(prompt) : len(prompt) + max_new_tokens]
-        return output, steps, len(output) if produced > max_new_tokens else produced
+        return self.committed[len(prompt) :], steps, produced

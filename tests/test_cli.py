@@ -216,6 +216,21 @@ class TestBench:
         with pytest.raises(ValueError):
             cmd_bench(RunConfig(max_new_tokens=5), [prompts])
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_mode_names_the_wiring_that_ran(self, tmp_path, capsys, fmt):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(2)), encoding="utf-8")
+        run = ["bench", "--prompts", str(prompts), "--max-new-tokens", "10", "--format", fmt]
+        for extra, mode in (([], "dynamic"), (["--corpus", str(corpus)], "dual")):
+            assert main([*run, *extra]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            if fmt == "json":
+                assert json.loads(lines[0])["mode"] == mode
+            else:
+                assert lines[-1].startswith(f"# mode={mode} ")
+
 
 class TestSweep:
     def test_single_cell_equals_bench(self, tmp_path):

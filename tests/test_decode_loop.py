@@ -18,7 +18,6 @@ from ngramspec.decode_loop import (
     accept,
     decode_step,
     greedy_decode,
-    init_from_prompt,
     reset,
     run_decode,
     update_tables,
@@ -210,37 +209,39 @@ def test_update_tables_matches_reference(seed):
 
 
 class TestInitFromPrompt:
+    """``reset(state, prompt)`` seeds a task from its prompt."""
+
     def test_short_prompt_no_insertions(self):
         state = fresh_state(ll=1, fl=3)
-        init_from_prompt(state, [1, 2, 3])  # needs ll + fl = 4
+        reset(state, [1, 2, 3])  # needs ll + fl = 4
         assert len(snapshot(state.dynamic)) == 0
         assert state.committed == [1, 2, 3]
         assert state.pending_len == 1
 
     def test_alternating_prompt(self):
         state = fresh_state(ll=1, fl=1)
-        init_from_prompt(state, [20, 21, 20, 21, 20, 21])
+        reset(state, [20, 21, 20, 21, 20, 21])
         assert peek(state.dynamic, (20,)) == [(21,)]
         assert peek(state.dynamic, (21,)) == [(20,)]
 
     def test_empty_prompt(self):
         state = fresh_state()
-        init_from_prompt(state, [])
+        reset(state, [])
         assert state.pending_len == 0 and state.committed == []
 
     def test_repeated_init_idempotent_on_contents(self):
         prompt = [1, 2, 1, 2, 3, 1, 2]
         state = fresh_state(ll=1, fl=1, lc=4, fc=2)
-        init_from_prompt(state, prompt)
+        reset(state, prompt)
         once = snapshot(state.dynamic)
-        init_from_prompt(state, prompt)
+        reset(state, prompt)
         assert snapshot(state.dynamic) == once
 
 
 class TestReset:
     def test_reset_clears_dynamic_and_sequence(self):
         state = fresh_state(ll=1, fl=1)
-        init_from_prompt(state, [1, 2, 1, 2])
+        reset(state, [1, 2, 1, 2])
         reset(state)
         assert len(snapshot(state.dynamic)) == 0
         assert state.committed == [] and state.pending_len == 0
@@ -261,11 +262,38 @@ class TestReset:
 
         reused = fresh_state(ll=1, fl=1)
         run_decode(reused, doc_a[:4], verifier, 12)
-        reset(reused)
         out_reused, met_reused = run_decode(reused, doc_b[:4], verifier, 12)
 
         fresh = fresh_state(ll=1, fl=1)
         out_fresh, met_fresh = run_decode(fresh, doc_b[:4], verifier, 12)
+        assert out_reused == out_fresh
+        assert met_reused == met_fresh
+        assert snapshot(reused.dynamic) == snapshot(fresh.dynamic)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_run_decode_starts_fresh_whatever_ran_before(self, seed):
+        """Task B decoded right after task A on the same state, with no
+        ``reset`` between them, runs as B on a fresh state does: same output,
+        rows and dynamic table.  A and B share a vocabulary, so a table
+        left over from A would draft for B."""
+        rng = random.Random(50_000 + seed)
+        docs = random_docs(rng) + random_docs(rng)
+        verifier = KGramVerifier(rng.randint(1, 3), docs)
+        ll, fl, lc, fc, tdl, crt = random_configs(rng)
+        frozen = None
+        if rng.random() < 0.5:
+            tcfg = CacheTableConfig(ll, fl, lc, fc)
+            frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
+        doc_a, doc_b = rng.choice(docs), rng.choice(docs)
+        prompt_b = doc_b[: rng.randint(1, len(doc_b))]
+        max_new = rng.randint(1, 40)
+
+        reused = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
+        run_decode(reused, doc_a[: rng.randint(1, len(doc_a))], verifier, rng.randint(1, 40))
+        out_reused, met_reused = run_decode(reused, prompt_b, verifier, max_new)
+
+        fresh = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
+        out_fresh, met_fresh = run_decode(fresh, prompt_b, verifier, max_new)
         assert out_reused == out_fresh
         assert met_reused == met_fresh
         assert snapshot(reused.dynamic) == snapshot(fresh.dynamic)
@@ -275,7 +303,7 @@ class TestDecodeStep:
     def test_empty_tables_emit_exactly_one(self):
         state = fresh_state()
         oracle = ReplayOracle(3, [7, 8, 9], EOS)
-        init_from_prompt(state, [1, 2, 3])
+        reset(state, [1, 2, 3])
         metrics = decode_step(state, oracle, UNCAPPED)
         assert metrics.emitted == 1 and metrics.accepted == 0 and metrics.drafted == 0
         assert state.committed == [1, 2, 3, 7]
@@ -288,14 +316,14 @@ class TestDecodeStep:
         continuation = sentence * 3
         oracle = ReplayOracle(len(prompt), continuation, EOS)
         state = fresh_state(ll=1, fl=2, tdl=10, crt=2)
-        init_from_prompt(state, prompt)
+        reset(state, prompt)
         sim = SimDecoder(1, 2, 64, 8, 10, 2)
         sim.init_from_prompt(prompt)
         for _ in range(4):
             before = len(state.committed)
             metrics = decode_step(state, oracle, UNCAPPED)
             engine_emitted = state.committed[before:]
-            assert engine_emitted == sim.step(oracle)
+            assert engine_emitted == sim.step(oracle, UNCAPPED)
             assert metrics.emitted == len(engine_emitted)
 
 
@@ -420,13 +448,13 @@ def test_step_oracle_equivalence_randomized(seed):
         frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
         frozen_map = naive_frozen_map(docs, ll, fl, lc, fc)
     state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
-    init_from_prompt(state, prompt)
+    reset(state, prompt)
     sim = SimDecoder(ll, fl, lc, fc, tdl, crt, frozen_map=frozen_map)
     sim.init_from_prompt(prompt)
     for _ in range(rng.randint(1, 8)):
         before = len(state.committed)
         decode_step(state, verifier, UNCAPPED)
-        assert state.committed[before:] == sim.step(verifier)
+        assert state.committed[before:] == sim.step(verifier, UNCAPPED)
         assert snapshot(state.dynamic) == sim.dynamic.state()
 
 
@@ -436,7 +464,6 @@ class CountingVerifier:
     def __init__(self, inner):
         self.inner = inner
         self.eos_token = inner.eos_token
-        self.vocab_size = inner.vocab_size
         self.calls = 0
 
     def greedy_next(self, prefix):
@@ -459,7 +486,7 @@ def test_verifier_calls_are_accepted_plus_one(monkeypatch):
             tcfg = CacheTableConfig(ll, fl, lc, fc)
             frozen = build_frozen(count_ngrams(docs, tcfg), tcfg)
         state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
-        init_from_prompt(state, docs[0][: rng.randint(1, len(docs[0]))])
+        reset(state, docs[0][: rng.randint(1, len(docs[0]))])
         for _ in range(rng.randint(1, 8)):
             before = verifier.calls
             step = decode_step(state, verifier, UNCAPPED)

@@ -318,8 +318,11 @@ def test_index_and_accept_match_brute_force():
     assert deep_walks >= 100
 
 
-def test_accept_refuses_a_tree_without_index():
+def test_a_tree_given_only_nodes_offers_the_walk_nothing():
     nodes = [DraftNode(5, None, 1), DraftNode(6, 0, 2)]
-    walk = SimpleNamespace(eos_token=None, greedy_next=lambda prefix: [5, 6, 9][len(prefix)])
-    with pytest.raises(ValueError, match="child index"):
-        accept(DraftTree(pending=(1,), nodes=nodes), [], walk, 3)
+    tree = DraftTree(pending=(1,), nodes=nodes)
+    assert (tree.child, tree.max_depth) == ({}, 0)
+    committed = [1]
+    walk = SimpleNamespace(eos_token=None, greedy_next=lambda prefix: [5, 6, 9][len(prefix) - 1])
+    assert accept(tree, committed, walk, 3) == 0
+    assert committed == [1, 5]  # the bonus token alone
