@@ -88,10 +88,11 @@ class LruCacheTable:
     def insert(self, leader: Leader, follower: Follower) -> Leader | Follower | None:
         """Record that ``follower`` was observed right after ``leader``.
 
-        The follower becomes the leader's most recent entry; re-inserting an
-        existing follower moves it to the front without duplication.  Returns
-        the key the capacity bounds dropped, if any: the least recent leader
-        (its followers go with it) or this leader's least recent follower.
+        One path: a new leader evicts the least recent leader (its followers
+        go with it) once ``lc`` is reached and starts empty; a known leader
+        becomes the most recent.  Then the follower is set at the front,
+        without duplication, and the least recent follower past ``fc`` is
+        popped.  Returns the dropped leader or follower, if any.
         """
         if len(leader) != self._ll:
             raise ValueError(
@@ -101,22 +102,18 @@ class LruCacheTable:
             raise ValueError(
                 f"follower length {len(follower)} does not match fl={self._fl}"
             )
-        followers = self._entries.get(leader)
-        if followers is not None:
-            self._entries.move_to_end(leader)
-            if follower in followers:
-                followers.move_to_end(follower, last=False)
-                return None
-            followers[follower] = None
-            followers.move_to_end(follower, last=False)
-            if len(followers) > self._fc:
-                return followers.popitem()[0]
-            return None
         dropped = None
-        if len(self._entries) >= self._lc:
-            dropped = self._entries.popitem(last=False)[0]
-        self._entries[leader] = followers = OrderedDict()
+        followers = self._entries.get(leader)
+        if followers is None:
+            if len(self._entries) >= self._lc:
+                dropped = self._entries.popitem(last=False)[0]
+            self._entries[leader] = followers = OrderedDict()
+        else:
+            self._entries.move_to_end(leader)
         followers[follower] = None
+        followers.move_to_end(follower, last=False)
+        if len(followers) > self._fc:
+            return followers.popitem()[0]
         return dropped
 
     def insert_windows(self, tokens: Sequence[int], start: int = 0) -> None:
@@ -143,7 +140,8 @@ class LruCacheTable:
         followers it saw last, newest first, and the leaders ordered by their
         last window: backwards, the first ``fc`` distinct followers met, and
         the leaders in reverse order of first meeting.  Past ``lc`` leaders,
-        an evicted leader could return with fewer followers.
+        an evicted leader could return with fewer followers.  A new leader
+        starts empty and gets its first follower through the ``fc`` step.
         """
         ll, width, lc, fc = self._ll, self._ll + self._fl, self._lc, self._fc
         seen: dict[Leader, OrderedDict[Follower, None]] = {}
@@ -154,8 +152,7 @@ class LruCacheTable:
                 if len(seen) == lc:
                     return False
                 seen[leader] = followers = OrderedDict()
-                followers[src[i + ll : i + width]] = None
-            elif len(followers) < fc:
+            if len(followers) < fc:
                 followers.setdefault(src[i + ll : i + width])
         self._entries = OrderedDict(reversed(seen.items()))
         return True

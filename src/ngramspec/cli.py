@@ -285,10 +285,6 @@ def run_bench(
     return Report({**asdict(cfg), "mode": mode}, "task", rows, aggregate)
 
 
-def _build_table(corpus: list[list[int]], tcfg: CacheTableConfig) -> FrozenTable:
-    return build_frozen(count_ngrams(corpus, tcfg), tcfg)
-
-
 def _vocab_sidecar(path: str | Path) -> Path:
     return Path(str(path) + ".vocab.json")
 
@@ -312,7 +308,8 @@ def cmd_build_table(
     if not sampled:
         print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
     vocab = Vocab() if tokenizer == "whitespace" else None
-    table = _build_table([tokenize(text, tokenizer, vocab) for text in sampled], tcfg)
+    corpus = [tokenize(text, tokenizer, vocab) for text in sampled]
+    table = build_frozen(count_ngrams(corpus, tcfg), tcfg)
     out = Path(out)
     table.save(out)
     if vocab is not None:
@@ -327,9 +324,11 @@ def _load_inputs(
     table_path: str | Path | None,
     corpus_paths: Sequence[str | Path] | None,
     doc_mode: str,
-) -> tuple[list[list[int]], FrozenTable | None, list[list[int]] | None]:
-    """The prompts' token ids, the frozen table loaded from ``table_path``
-    and the corpus's token ids (None for an absent table or corpus).
+) -> tuple[list[list[int]], Callable[[CacheTableConfig], FrozenTable | None]]:
+    """The prompts' token ids, and the one resolver of the run's frozen table:
+    a function from a table shape to the table loaded from ``table_path`` (in
+    its own shape; ``run_bench`` rejects a mismatch), a table of that shape
+    built from the corpus, or None when neither is given.
 
     Whitespace ids come from one vocabulary: the table's sidecar, or a new
     one that numbers the corpus first, so that the prompts' ids match a
@@ -338,7 +337,7 @@ def _load_inputs(
     if table_path is not None and corpus_paths:
         raise ValueError("--table and --corpus each give the frozen table; pass only one")
     vocab = Vocab() if cfg.tokenizer == "whitespace" else None
-    frozen = corpus = None
+    frozen = None
     if table_path is not None:
         data = Path(table_path).read_bytes()
         frozen = FrozenTable.load(data)
@@ -366,11 +365,13 @@ def _load_inputs(
                     f"{table_path} was built with the whitespace tokenizer (its sidecar "
                     f"{sidecar} matches it); byte token ids would not match the table"
                 )
+    frozen_for = lambda tcfg: frozen
     if corpus_paths:
         texts = read_documents(corpus_paths, doc_mode)
         corpus = [tokenize(text, cfg.tokenizer, vocab) for text in texts]
+        frozen_for = lambda tcfg: build_frozen(count_ngrams(corpus, tcfg), tcfg)
     texts = read_documents(prompt_paths, doc_mode)
-    return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen, corpus
+    return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen_for
 
 
 def cmd_bench(
@@ -382,9 +383,8 @@ def cmd_bench(
 ) -> Report:
     """Benchmark the decode loop over prompt documents (dual wiring; the
     dynamic table alone when no frozen table is supplied)."""
-    docs, frozen, corpus = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
-    if corpus is not None:
-        frozen = _build_table(corpus, cfg.table_config())
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    frozen = frozen_for(cfg.table_config())
     return run_bench(cfg, docs, frozen, mode="dynamic" if frozen is None else "dual")
 
 
@@ -406,12 +406,12 @@ def cmd_sweep(
     if not ll_values or not fl_values:
         raise ValueError("sweep needs at least one ll value and one fl value")
     # Token ids do not depend on (ll, fl): tokenize once for the whole grid.
-    docs, _, corpus = _load_inputs(cfg, prompt_paths, None, corpus_paths, doc_mode)
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, None, corpus_paths, doc_mode)
     rows = []
     for ll in ll_values:
         for fl in fl_values:
             cell = replace(cfg, ll=ll, fl=fl)
-            frozen = None if corpus is None else _build_table(corpus, cell.table_config())
+            frozen = frozen_for(cell.table_config())
             mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
             rows.append({"ll": ll, "fl": fl, "mat": mat})
     best = max(row["mat"] for row in rows)
@@ -432,9 +432,8 @@ def cmd_ablate(
     row each for dual, dynamic-only and frozen-only, from its aggregate."""
     if table_path is None and not corpus_paths:
         raise ValueError("ablation requires a frozen table (--table or --corpus)")
-    docs, frozen, corpus = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
-    if corpus is not None:
-        frozen = _build_table(corpus, cfg.table_config())
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    frozen = frozen_for(cfg.table_config())
     rows = []
     for mode in MODES:
         agg = run_bench(cfg, docs, frozen, mode=mode).closing

@@ -36,7 +36,9 @@ class RefLruTable:
         self.rows.append(row)  # refresh leader recency
         return list(reversed(row[1]))
 
-    def insert(self, leader, follower) -> None:
+    def insert(self, leader, follower):
+        """Record the pair; return the leader or follower the capacity bounds
+        dropped (the head of the list that overflowed), or None."""
         at = self._find(leader)
         if at is not None:
             row = self.rows.pop(at)
@@ -48,11 +50,13 @@ class RefLruTable:
             else:
                 followers.append(follower)
                 if len(followers) > self.fc:
-                    followers.pop(0)
-            return
+                    return followers.pop(0)
+            return None
+        dropped = None
         if len(self.rows) >= self.lc:
-            self.rows.pop(0)
+            dropped = self.rows.pop(0)[0]
         self.rows.append([leader, [follower]])
+        return dropped
 
     def peek(self, leader):
         at = self._find(leader)
@@ -110,15 +114,18 @@ def naive_frozen_map(
     return out
 
 
-def cbft_bytes(table_map: dict[tuple, list[tuple]], ll: int, fl: int, fc: int) -> bytes:
+def cbft_bytes(table_map, ll: int, fl: int, fc: int) -> bytes:
     """CBFT serialization of a leader -> followers map, in its order, written
-    field by field from the format description with ``int.to_bytes``."""
+    field by field from the format description with ``int.to_bytes``.  A list
+    of (leader, followers) pairs also serializes, unchecked: it may repeat a
+    leader or break the shape, as damaged files do."""
 
     def u32(value: int) -> bytes:
         return value.to_bytes(4, "little")
 
-    out = b"CBFT" + u32(1) + u32(ll) + u32(fl) + len(table_map).to_bytes(8, "little") + u32(fc)
-    for leader, followers in table_map.items():
+    entries = list(table_map.items()) if isinstance(table_map, dict) else list(table_map)
+    out = b"CBFT" + u32(1) + u32(ll) + u32(fl) + len(entries).to_bytes(8, "little") + u32(fc)
+    for leader, followers in entries:
         for token in leader:
             out += u32(token)
         out += u32(len(followers))

@@ -96,10 +96,11 @@ def test_losslessness():
 
 
 def test_lru_oracle_equivalence():
-    """1e5 random ops vs the naive reference; full state compared every 100th."""
+    """1e5 random ops vs the naive reference: every query's followers and
+    every insert's dropped key compared, full state every 100th op."""
     rng = random.Random(7_771)
     total_ops = 100_000
-    checked = 0
+    checked = drops = 0
     per_config = total_ops // 4
     for _ in range(4):
         ll, fl = rng.randint(1, 2), rng.randint(1, 3)
@@ -113,12 +114,13 @@ def test_lru_oracle_equivalence():
                 assert list(real.query(leader)) == ref.query(leader)
             else:
                 follower = tuple(rng.randrange(pool) for _ in range(fl))
-                real.insert(leader, follower)
-                ref.insert(leader, follower)
+                dropped = real.insert(leader, follower)
+                assert dropped == ref.insert(leader, follower)
+                drops += dropped is not None
             if i % 100 == 0:
                 assert snapshot(real) == ref.state()
                 checked += 1
-    _gate("lru-oracle-equivalence", True, f"{total_ops} ops, {checked} state checks")
+    _gate("lru-oracle-equivalence", True, f"{total_ops} ops, {checked} state checks, {drops} drops")
 
 
 def test_step_bound():

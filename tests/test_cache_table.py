@@ -25,7 +25,7 @@ def replay(cfg, ops):
     for op in ops:
         if isinstance(op[0], tuple):
             result = table.insert(*op)
-            ref.insert(*op)
+            assert result == ref.insert(*op)
         else:
             result = table.query(op)
             ref.query(op)
@@ -116,6 +116,13 @@ class TestInsert:
         table = LruCacheTable(CacheTableConfig(1, 3, 4, 2))
         with pytest.raises(ValueError):
             table.insert(L(1), L(10))
+
+    def test_wrong_leader_length_rejected(self):
+        table = LruCacheTable(CacheTableConfig(2, 1, 4, 2))
+        for leader in (L(1), L(1, 2, 3)):
+            with pytest.raises(ValueError, match="leader length"):
+                table.insert(leader, L(10))
+        assert len(snapshot(table)) == 0
 
 
 class TestLeaderCount:
@@ -218,8 +225,7 @@ def test_lru_equivalence_with_reference(cfg, ops):
         if kind == "query":
             assert list(real.query(leader)) == ref.query(leader)
         else:
-            real.insert(leader, follower)
-            ref.insert(leader, follower)
+            assert real.insert(leader, follower) == ref.insert(leader, follower)
         assert snapshot(real) == ref.state()
 
 

@@ -91,6 +91,12 @@ class TestReadAndSample:
         assert read_documents([p], "line") == ["one two", "three"]
         assert read_documents([p], "file") == ["one two\n\nthree\n"]
 
+    def test_unknown_doc_mode_rejected(self, tmp_path):
+        p = tmp_path / "docs.txt"
+        p.write_text("one two\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="doc mode"):
+            read_documents([p], "para")
+
     def test_sampling_is_seeded(self):
         docs = [f"d{i}" for i in range(200)]
         a = sample_documents(docs, 0.5, 42)
@@ -150,6 +156,18 @@ class TestBuildTable:
         docs = [[ids.setdefault(word, len(ids)) for word in text.split()] for text in texts]
         expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
         assert out.read_bytes() == cbft_bytes(expected, ll, fl, fc)
+
+    @pytest.mark.parametrize("text, fraction", [("", 1.0), ("a b c\nc d e\n", 0.1)])
+    def test_corpus_sampled_to_nothing_writes_an_empty_table(self, tmp_path, capsys, text, fraction):
+        src = tmp_path / "corpus.txt"
+        src.write_text(text, encoding="utf-8")
+        out = tmp_path / "t.cbft"
+        cmd_build_table([src], out, CacheTableConfig(1, 2, 8, 4), sample_fraction=fraction)
+        assert "warning: corpus is empty after sampling" in capsys.readouterr().err
+        table = FrozenTable.load(out)
+        assert table.entries == {}
+        assert (table.config.ll, table.config.fl, table.config.fc) == (1, 2, 4)
+        assert Vocab.load(tmp_path / "t.cbft.vocab.json").words() == []
 
     def test_byte_mode_writes_no_sidecar(self, tmp_path):
         src = tmp_path / "corpus.txt"
@@ -271,6 +289,20 @@ class TestSweep:
         assert len(sweep.rows) == 4
         # One call per document for the whole grid, corpus first.
         assert [text for text, *_ in calls] == background_texts(5) + eval_texts(2)
+
+    def test_each_cell_builds_its_table_through_the_cli_names(self, tmp_path, monkeypatch):
+        # perfbench's tracer patches count_ngrams and build_frozen on ``cli``.
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(2)), encoding="utf-8")
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        shapes = []
+        for name, real in (("count_ngrams", count_ngrams), ("build_frozen", build_frozen)):
+            monkeypatch.setattr(cli, name, lambda data, tcfg, real=real: shapes.append(tcfg) or real(data, tcfg))
+        cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=10)
+        cmd_sweep(cfg, [1, 2], [1, 3], [prompts], corpus_paths=[corpus])
+        cells = [replace(cfg, ll=ll, fl=fl).table_config() for ll in (1, 2) for fl in (1, 3)]
+        assert shapes == [tcfg for tcfg in cells for _ in range(2)]
 
     def test_empty_ranges_rejected(self, tmp_path):
         prompts = tmp_path / "p.txt"

@@ -434,6 +434,31 @@ def test_losslessness_randomized(seed):
             assert 1 <= step.emitted <= 1 + step.longest_branch or step.longest_branch == 0 and step.emitted == 1
 
 
+def test_greedy_decode_equals_reference():
+    """``greedy_decode``, the baseline every speculative run is held to,
+    equals the oracle's one-token loop under k-gram verifiers and under
+    replay verifiers whose EOS id occurs in the text, which must stop it."""
+    rng = random.Random(4_242)
+    eos_stops = 0
+    for _ in range(60):
+        docs = random_docs(rng)
+        prompt = docs[0][: rng.randint(1, len(docs[0]))]
+        max_new = rng.randint(1, 40)
+        kgram = KGramVerifier(rng.randint(1, 3), docs)
+        replay = ReplayOracle(len(prompt), docs[0][len(prompt) :], rng.choice(docs[0]))
+        for verifier in (kgram, replay):
+            out = greedy_decode(prompt, verifier, max_new)
+            assert out == greedy_reference(prompt, verifier, max_new)
+            eos_stops += len(out) < max_new
+    assert eos_stops >= 30
+
+
+@pytest.mark.parametrize("max_new", [0, -1])
+def test_greedy_decode_rejects_a_cap_below_one(max_new):
+    with pytest.raises(ValueError, match="max_new_tokens"):
+        greedy_decode([1], ReplayOracle(1, [2], EOS), max_new)
+
+
 @pytest.mark.parametrize("seed", range(25))
 def test_step_oracle_equivalence_randomized(seed):
     rng = random.Random(10_000 + seed)
@@ -572,6 +597,28 @@ def test_losslessness_property(seed, order, max_new):
     assert out == greedy_reference(prompt, verifier, max_new)
     assert metrics.mat * metrics.steps == pytest.approx(metrics.total_emitted)
     assert sum(s.emitted for s in metrics.step_log) == metrics.total_emitted
+
+
+class TestVerifierInputs:
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_kgram_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="order"):
+            KGramVerifier(order, [[1, 2, 3]])
+
+    @pytest.mark.parametrize("docs", [[], [[]], [[], []]])
+    def test_kgram_corpus_without_tokens_rejected(self, docs):
+        with pytest.raises(ValueError, match="no tokens"):
+            KGramVerifier(1, docs)
+
+    def test_replay_negative_prompt_length_rejected(self):
+        with pytest.raises(ValueError, match="prompt_len"):
+            ReplayOracle(-1, [1, 2], EOS)
+
+    def test_replay_prefix_shorter_than_prompt_rejected(self):
+        oracle = ReplayOracle(3, [7, 8], EOS)
+        assert oracle.greedy_next([1, 2, 3]) == 7
+        with pytest.raises(ValueError, match="shorter than the replayed prompt"):
+            oracle.greedy_next([1, 2])
 
 
 @given(

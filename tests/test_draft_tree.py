@@ -7,8 +7,6 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ngramspec.cache_table import CacheTableConfig, LruCacheTable
 from ngramspec.decode_loop import accept
@@ -150,6 +148,12 @@ class TestBuild:
     def test_no_table_rejected(self):
         with pytest.raises(ValueError):
             build_draft_tree([1, 2], 0, None, None, DraftConfig(4, 0))
+
+    @pytest.mark.parametrize("pending_len", [-1, 3])
+    def test_pending_outside_the_context_rejected(self, pending_len):
+        dynamic = LruCacheTable(CacheTableConfig(ll=1, fl=2, lc=8, fc=8))
+        with pytest.raises(ValueError, match="pending_len"):
+            build_draft_tree([1, 2], pending_len, dynamic, None, DraftConfig(4, 0))
 
 
 class TestDraftConfig:

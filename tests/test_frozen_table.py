@@ -15,7 +15,7 @@ from ngramspec.frozen_table import (
     count_ngrams,
 )
 
-from oracles import naive_frozen_map
+from oracles import cbft_bytes, naive_frozen_map
 
 
 def empty_table(tcfg):
@@ -178,6 +178,52 @@ class TestSerialization:
         with pytest.raises(FrozenTableLoadError, match="same first token.*rebuild") as err:
             FrozenTable.load(sink.getvalue())
         assert err.value.offset == 28 + 4 + 4 + 2 * 8  # header, then the first entry
+
+    @pytest.mark.parametrize("cut", [0, 1, 27])
+    def test_truncated_header_rejected_at_its_end(self, cut):
+        data = cbft_bytes([], 1, 1, 4)[:cut]
+        with pytest.raises(FrozenTableLoadError, match="truncated header") as err:
+            FrozenTable.load(data)
+        assert err.value.offset == len(data)
+
+    @pytest.mark.parametrize("ll, fl, fc", [(0, 1, 4), (1, 0, 4), (1, 1, 0)])
+    def test_invalid_shape_rejected_at_the_shape_fields(self, ll, fl, fc):
+        with pytest.raises(FrozenTableLoadError, match="invalid table shape") as err:
+            FrozenTable.load(cbft_bytes([], ll, fl, fc))
+        assert err.value.offset == 8
+
+    @pytest.mark.parametrize("cut", [0, 1, 8, 11])
+    def test_entry_cut_inside_its_leader_head_rejected(self, cut):
+        # ll=2: an entry's head is two leader tokens and a follower count.
+        whole = cbft_bytes([((7, 1), ((8,),)), ((1, 2), ((3,),))], 2, 1, 4)
+        data = whole[: 28 + 16 + cut]  # header, first entry, part of the second head
+        with pytest.raises(FrozenTableLoadError, match="truncated entry") as err:
+            FrozenTable.load(data)
+        assert err.value.offset == len(data)
+
+    def test_follower_count_above_fc_rejected_at_its_entry(self):
+        data = cbft_bytes([((7,), ((8,),)), ((1,), ((2,), (3,)))], 1, 1, 1)
+        with pytest.raises(FrozenTableLoadError, match="follower count 2 exceeds fc=1") as err:
+            FrozenTable.load(data)
+        assert err.value.offset == 28 + 12  # header, then the first entry
+
+    def test_duplicate_leader_rejected_at_its_second_entry(self):
+        data = cbft_bytes([((7,), ((8,),)), ((1,), ()), ((7,), ((9,),))], 1, 1, 4)
+        with pytest.raises(FrozenTableLoadError, match="duplicate leader") as err:
+            FrozenTable.load(data)
+        assert err.value.offset == 28 + 12 + 8  # header, then the first two entries
+
+    @pytest.mark.parametrize(
+        "entries, match",
+        [
+            ({(1,): ((2,),)}, "leader .* ll=2"),
+            ({(1, 2): ((3,), (4, 5))}, "follower .* fl=1"),
+        ],
+    )
+    def test_save_rejects_keys_of_the_wrong_length(self, entries, match):
+        table = FrozenTable(config=CacheTableConfig(2, 1, 4, 4), entries=entries)
+        with pytest.raises(ValueError, match=match):
+            table.save(io.BytesIO())
 
     def test_trailing_garbage_rejected(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))

@@ -1,5 +1,6 @@
 """Every public name in the package has a reader: the pipeline, the CLI or
-the benchmark harness (``perfbench/``, its tests aside)."""
+the benchmark harness (``perfbench/``, its tests aside).  Every name a test
+module imports from the package is used there."""
 
 from __future__ import annotations
 
@@ -42,6 +43,18 @@ def unread_names(sources: dict[str, str], harness: str) -> list[str]:
     return unread
 
 
+def unused_package_imports(text: str) -> list[str]:
+    """``line name`` of each name that ``text`` imports from ``ngramspec``
+    and never loads: an unused import hides an untested public name."""
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "ngramspec":
+            imported.update((alias.asname or alias.name, node.lineno) for alias in node.names)
+    loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line} {name}" for name, line in imported.items() if name not in loaded]
+
+
 def test_every_public_name_has_a_reader():
     sources = {
         path.name: path.read_text(encoding="utf-8")
@@ -70,3 +83,24 @@ def test_unread_names_are_reported():
     )
     assert unread_names({"m.py": module}, "") == ["m.py:1 walk", "m.py:4 Box", "m.py:5 open"]
     assert unread_names({"m.py": module}, "Box().open(); walk(3)") == []
+
+
+def test_tests_use_every_name_they_import_from_the_package():
+    unused = {
+        path.name: found
+        for path in sorted((ROOT / "tests").glob("*.py"))
+        if (found := unused_package_imports(path.read_text(encoding="utf-8")))
+    }
+    assert unused == {}
+
+
+def test_unused_package_imports_are_reported():
+    module = (
+        "from ngramspec import cli, draft_tree\n"
+        "from ngramspec.decode_loop import reset, run_decode as run\n"
+        "from oracles import snapshot\n"
+        "\n"
+        "def test_x():\n"
+        "    run(cli.main, 'reset')\n"  # a string is not a use
+    )
+    assert unused_package_imports(module) == ["1 draft_tree", "2 reset"]
