@@ -22,6 +22,14 @@ Leader = tuple[int, ...]
 Follower = tuple[int, ...]
 
 
+def check_int(name: str, value: object, least: int = 1) -> None:
+    """The one rule for an integer setting: an ``int``, not a ``bool``, and at
+    least ``least`` (1 or 0); otherwise ``ValueError`` naming the setting."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CacheTableConfig:
     """Shape and capacity of a cache table.
@@ -38,9 +46,7 @@ class CacheTableConfig:
 
     def __post_init__(self) -> None:
         for name in ("ll", "fl", "lc", "fc"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_int(name, getattr(self, name))
 
 
 class LruCacheTable:

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from .cache_table import CacheTableConfig, LruCacheTable
+from .cache_table import CacheTableConfig, LruCacheTable, check_int
 from .decode_loop import DecodeState, KGramVerifier, ReplayOracle, run_decode
 from .draft_tree import DraftConfig
 from .frozen_table import FrozenTable, build_frozen, count_ngrams
@@ -110,8 +110,6 @@ def sample_documents(docs: Sequence[str], fraction: float, seed: int) -> list[st
     """Seeded Bernoulli document sample; ``fraction`` must be in (0, 1]."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
-    if fraction >= 1.0:
-        return list(docs)
     rng = random.Random(seed)
     return [doc for doc in docs if rng.random() < fraction]
 
@@ -128,6 +126,7 @@ class RunConfig:
     tdl: int = 96
     crt: int = 16
     tokenizer: str = "whitespace"
+    doc_mode: str = "line"
     verifier: str = "kgram"
     kgram_order: int = 3
     max_new_tokens: int = 128
@@ -137,12 +136,12 @@ class RunConfig:
         self.draft_config()
         if self.tokenizer not in ("whitespace", "byte"):
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
+        if self.doc_mode not in ("line", "file"):
+            raise ValueError(f"unknown doc mode {self.doc_mode!r}")
         if self.verifier not in ("kgram", "replay"):
             raise ValueError(f"unknown verifier {self.verifier!r}")
         for name in ("kgram_order", "max_new_tokens"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            check_int(name, getattr(self, name))
 
     def table_config(self) -> CacheTableConfig:
         return CacheTableConfig(ll=self.ll, fl=self.fl, lc=self.lc, fc=self.fc)
@@ -323,7 +322,6 @@ def _load_inputs(
     prompt_paths: Sequence[str | Path],
     table_path: str | Path | None,
     corpus_paths: Sequence[str | Path] | None,
-    doc_mode: str,
 ) -> tuple[list[list[int]], Callable[[CacheTableConfig], FrozenTable | None]]:
     """The prompts' token ids, and the one resolver of the run's frozen table:
     a function from a table shape to the table loaded from ``table_path`` (in
@@ -367,10 +365,10 @@ def _load_inputs(
                 )
     frozen_for = lambda tcfg: frozen
     if corpus_paths:
-        texts = read_documents(corpus_paths, doc_mode)
+        texts = read_documents(corpus_paths, cfg.doc_mode)
         corpus = [tokenize(text, cfg.tokenizer, vocab) for text in texts]
         frozen_for = lambda tcfg: build_frozen(count_ngrams(corpus, tcfg), tcfg)
-    texts = read_documents(prompt_paths, doc_mode)
+    texts = read_documents(prompt_paths, cfg.doc_mode)
     return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen_for
 
 
@@ -379,11 +377,10 @@ def cmd_bench(
     prompt_paths: Sequence[str | Path],
     table_path: str | Path | None = None,
     corpus_paths: Sequence[str | Path] | None = None,
-    doc_mode: str = "line",
 ) -> Report:
     """Benchmark the decode loop over prompt documents (dual wiring; the
     dynamic table alone when no frozen table is supplied)."""
-    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths)
     frozen = frozen_for(cfg.table_config())
     return run_bench(cfg, docs, frozen, mode="dynamic" if frozen is None else "dual")
 
@@ -394,7 +391,6 @@ def cmd_sweep(
     fl_values: Sequence[int],
     prompt_paths: Sequence[str | Path],
     corpus_paths: Sequence[str | Path] | None = None,
-    doc_mode: str = "line",
 ) -> Report:
     """Benchmark every (ll, fl) grid cell: one ``cell`` row each, and a
     ``summary`` line saying whether ``ll=1`` attains the grid maximum.
@@ -403,17 +399,17 @@ def cmd_sweep(
     pins one shape, so sweeps take a corpus instead of a table); without a
     corpus the sweep runs on the dynamic table alone.
     """
-    if not ll_values or not fl_values:
+    # Every cell is validated before any input is read or decoded.
+    cells = [replace(cfg, ll=ll, fl=fl) for ll in ll_values for fl in fl_values]
+    if not cells:
         raise ValueError("sweep needs at least one ll value and one fl value")
     # Token ids do not depend on (ll, fl): tokenize once for the whole grid.
-    docs, frozen_for = _load_inputs(cfg, prompt_paths, None, corpus_paths, doc_mode)
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, None, corpus_paths)
     rows = []
-    for ll in ll_values:
-        for fl in fl_values:
-            cell = replace(cfg, ll=ll, fl=fl)
-            frozen = frozen_for(cell.table_config())
-            mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
-            rows.append({"ll": ll, "fl": fl, "mat": mat})
+    for cell in cells:
+        frozen = frozen_for(cell.table_config())
+        mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
+        rows.append({"ll": cell.ll, "fl": cell.fl, "mat": mat})
     best = max(row["mat"] for row in rows)
     ll1_attains_max = any(row["ll"] == 1 and row["mat"] == best for row in rows)
     summary = {"kind": "summary", "ll1_attains_max": ll1_attains_max}
@@ -426,13 +422,12 @@ def cmd_ablate(
     prompt_paths: Sequence[str | Path],
     table_path: str | Path | None = None,
     corpus_paths: Sequence[str | Path] | None = None,
-    doc_mode: str = "line",
 ) -> Report:
     """Three benchmark runs differing only in table wiring: one ``wiring``
     row each for dual, dynamic-only and frozen-only, from its aggregate."""
     if table_path is None and not corpus_paths:
         raise ValueError("ablation requires a frozen table (--table or --corpus)")
-    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths, doc_mode)
+    docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths)
     frozen = frozen_for(cfg.table_config())
     rows = []
     for mode in MODES:
@@ -469,7 +464,7 @@ def _add_table_shape_args(p: argparse.ArgumentParser, lengths: Callable = int) -
     p.add_argument("--lc", type=int, default=RunConfig.lc, help="max leaders per table")
     p.add_argument("--fc", type=int, default=RunConfig.fc, help="max followers per leader")
     p.add_argument("--tokenizer", choices=("whitespace", "byte"), default=RunConfig.tokenizer)
-    p.add_argument("--doc-mode", choices=("line", "file"), default="line")
+    p.add_argument("--doc-mode", choices=("line", "file"), default=RunConfig.doc_mode)
 
 
 def _add_run_args(p: argparse.ArgumentParser) -> None:
@@ -539,11 +534,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                     "for every (ll, fl) cell from --corpus"
                 )
             cfg = _config_from_args(args, ll=args.ll[0], fl=args.fl[0])
-            report = cmd_sweep(cfg, args.ll, args.fl, args.prompts, args.corpus, args.doc_mode)
+            report = cmd_sweep(cfg, args.ll, args.fl, args.prompts, args.corpus)
         else:
             command = cmd_bench if args.command == "bench" else cmd_ablate
             cfg = _config_from_args(args)
-            report = command(cfg, args.prompts, args.table, args.corpus, args.doc_mode)
+            report = command(cfg, args.prompts, args.table, args.corpus)
         text = report.render(args.format or ("csv" if args.command == "sweep" else "text"))
         if args.out:
             Path(args.out).write_text(text + "\n", encoding="utf-8")

@@ -1,8 +1,9 @@
 """The speculative decoding loop: draft, accept, update.
 
 Each step drafts a tree from the cache tables, walks it along the verifier's
-greedy path to accept the longest matching branch plus one bonus token, and
-then slides an n-gram window over the new tokens to update the dynamic table.
+greedy path to accept the longest matching branch plus one bonus token (none
+when the step ends on a matched EOS or at its token cap), and then slides an
+n-gram window over the new tokens to update the dynamic table.
 Output is token-identical to plain one-by-one greedy decoding with the same
 verifier; speculation only changes how many steps that takes.
 
@@ -20,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .cache_table import CacheTableConfig, LruCacheTable
+from .cache_table import CacheTableConfig, LruCacheTable, check_int
 from .draft_tree import DraftConfig, DraftTree, build_draft_tree
 from .frozen_table import FrozenTable
 
@@ -39,8 +40,7 @@ class ReplayOracle:
     ``continuation[n - prompt_len]``, and EOS once the reference runs out."""
 
     def __init__(self, prompt_len: int, continuation: Sequence[int], eos_token: int) -> None:
-        if prompt_len < 0:
-            raise ValueError("prompt_len must be non-negative")
+        check_int("prompt_len", prompt_len, least=0)
         self.prompt_len = prompt_len
         self.continuation = tuple(continuation)
         self.eos_token = eos_token
@@ -65,8 +65,7 @@ class KGramVerifier:
     """
 
     def __init__(self, order: int, docs: Iterable[Sequence[int]]) -> None:
-        if order < 1:
-            raise ValueError("order must be at least 1")
+        check_int("order", order)
         self.order = order
         self.eos_token: int | None = None
         global_counts: Counter[int] = Counter()
@@ -247,8 +246,7 @@ def run_decode(
     collecting the rows ``decode_step`` returns; each step is capped at the
     tokens still to produce, so ``mat * steps == len(output)`` exactly.
     """
-    if max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be at least 1")
+    check_int("max_new_tokens", max_new_tokens)
     reset(state, prompt)
     eos = verifier.eos_token
     log: list[StepMetrics] = []
@@ -265,8 +263,7 @@ def run_decode(
 def greedy_decode(prompt: Sequence[int], verifier: Verifier, max_new_tokens: int) -> list[int]:
     """Plain one-token-at-a-time greedy decoding; the baseline speculative
     runs must match token for token."""
-    if max_new_tokens < 1:
-        raise ValueError("max_new_tokens must be at least 1")
+    check_int("max_new_tokens", max_new_tokens)
     seq = list(prompt)
     out: list[int] = []
     eos = verifier.eos_token

@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .cache_table import Follower, LruCacheTable
+from .cache_table import Follower, LruCacheTable, check_int
 from .frozen_table import FrozenTable
 
 
@@ -40,10 +40,8 @@ class DraftConfig:
     crt: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.tdl, int) or isinstance(self.tdl, bool) or self.tdl < 1:
-            raise ValueError(f"tdl must be a positive integer, got {self.tdl!r}")
-        if not isinstance(self.crt, int) or isinstance(self.crt, bool) or self.crt < 0:
-            raise ValueError(f"crt must be a non-negative integer, got {self.crt!r}")
+        check_int("tdl", self.tdl)
+        check_int("crt", self.crt, least=0)
         if self.crt >= self.tdl:
             raise ValueError(f"crt ({self.crt}) must be smaller than tdl ({self.tdl})")
 

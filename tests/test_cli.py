@@ -310,6 +310,15 @@ class TestSweep:
         with pytest.raises(ValueError):
             cmd_sweep(RunConfig(), [], [1], [prompts])
 
+    def test_invalid_later_cell_rejected_before_any_decode(self, tmp_path, monkeypatch):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(1)), encoding="utf-8")
+        calls = []
+        monkeypatch.setattr(cli, "run_bench", lambda *args, **kw: calls.append(args))
+        with pytest.raises(ValueError, match="ll must be a positive integer"):
+            cmd_sweep(RunConfig(max_new_tokens=5), [1, 2, 0], [1, 2, 3], [prompts])
+        assert calls == []
+
 
 class TestAblate:
     def test_requires_frozen_source(self, tmp_path):
@@ -380,6 +389,7 @@ class TestRunConfig:
             {"max_new_tokens": 0},
             {"max_new_tokens": 3.0},
             {"max_new_tokens": True},
+            {"doc_mode": "para"},
         ],
     )
     def test_invalid_field_rejected_on_construction(self, bad):
@@ -441,6 +451,15 @@ class TestMain:
         tasks = [l for l in lines if l["kind"] == "task"]
         assert agg["steps"] == sum(t["steps"] for t in tasks)
         assert agg["emitted"] == sum(t["emitted"] for t in tasks)
+
+    def test_doc_mode_reaches_the_config_line(self, tmp_path, capsys):
+        prompts = tmp_path / "p.txt"
+        prompts.write_text("\n".join(eval_texts(2)), encoding="utf-8")
+        run = ["bench", "--prompts", str(prompts), "--max-new-tokens", "5"]
+        assert main([*run, "--doc-mode", "file", "--format", "json"]) == 0
+        lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert lines[0]["kind"] == "config" and lines[0]["doc_mode"] == "file"
+        assert [line["kind"] for line in lines].count("task") == 1  # the file is one document
 
     def test_sweep_csv_to_stdout(self, tmp_path, capsys):
         prompts = tmp_path / "p.txt"

@@ -382,8 +382,9 @@ class TestRunDecode:
 
     def test_invalid_max_new_tokens(self):
         state = fresh_state()
-        with pytest.raises(ValueError):
-            run_decode(state, [1], ReplayOracle(1, [2], EOS), 0)
+        for max_new in (0, 2.5, True):
+            with pytest.raises(ValueError, match="max_new_tokens"):
+                run_decode(state, [1], ReplayOracle(1, [2], EOS), max_new)
 
 
 def random_docs(rng: random.Random) -> list[list[int]]:
@@ -453,7 +454,7 @@ def test_greedy_decode_equals_reference():
     assert eos_stops >= 30
 
 
-@pytest.mark.parametrize("max_new", [0, -1])
+@pytest.mark.parametrize("max_new", [0, -1, 2.5, True])
 def test_greedy_decode_rejects_a_cap_below_one(max_new):
     with pytest.raises(ValueError, match="max_new_tokens"):
         greedy_decode([1], ReplayOracle(1, [2], EOS), max_new)
@@ -600,7 +601,7 @@ def test_losslessness_property(seed, order, max_new):
 
 
 class TestVerifierInputs:
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, 2.5, True])
     def test_kgram_order_below_one_rejected(self, order):
         with pytest.raises(ValueError, match="order"):
             KGramVerifier(order, [[1, 2, 3]])
@@ -611,8 +612,9 @@ class TestVerifierInputs:
             KGramVerifier(1, docs)
 
     def test_replay_negative_prompt_length_rejected(self):
-        with pytest.raises(ValueError, match="prompt_len"):
-            ReplayOracle(-1, [1, 2], EOS)
+        for prompt_len in (-1, 1.5):
+            with pytest.raises(ValueError, match="prompt_len"):
+                ReplayOracle(prompt_len, [1, 2], EOS)
 
     def test_replay_prefix_shorter_than_prompt_rejected(self):
         oracle = ReplayOracle(3, [7, 8], EOS)
