@@ -30,6 +30,7 @@ from .frozen_table import FrozenTable, build_frozen, count_ngrams
 EOS_TOKEN = 0xFFFF_FFFF
 
 MODES = ("dual", "dynamic", "frozen")
+TOKENIZERS = ("whitespace", "byte")
 
 
 class Vocab:
@@ -83,13 +84,13 @@ class Vocab:
 def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:
     """Token ids for ``text``: raw UTF-8 bytes (ids 0-255) in byte mode, or
     whitespace-split words mapped through ``vocab``, which that mode requires."""
+    if mode not in TOKENIZERS:
+        raise ValueError(f"unknown tokenizer mode {mode!r}")
     if mode == "byte":
         return list(text.encode("utf-8"))
-    if mode == "whitespace":
-        if vocab is None:
-            raise ValueError("the whitespace tokenizer needs a vocabulary its texts share")
-        return vocab.encode(text)
-    raise ValueError(f"unknown tokenizer mode {mode!r}")
+    if vocab is None:
+        raise ValueError("the whitespace tokenizer needs a vocabulary its texts share")
+    return vocab.encode(text)
 
 
 def read_documents(paths: Sequence[str | Path], doc_mode: str) -> list[str]:
@@ -100,8 +101,9 @@ def read_documents(paths: Sequence[str | Path], doc_mode: str) -> list[str]:
     for path in paths:
         text = Path(path).read_text(encoding="utf-8")
         if doc_mode == "line":
-            docs.extend(line for line in text.splitlines() if line.strip())
-        elif text.strip():
+            # isspace tests what strip() would, without copying the line.
+            docs.extend(line for line in text.splitlines() if line and not line.isspace())
+        elif text and not text.isspace():
             docs.append(text)
     return docs
 
@@ -134,7 +136,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         self.table_config()
         self.draft_config()
-        if self.tokenizer not in ("whitespace", "byte"):
+        if self.tokenizer not in TOKENIZERS:
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
         if self.doc_mode not in ("line", "file"):
             raise ValueError(f"unknown doc mode {self.doc_mode!r}")
@@ -300,15 +302,24 @@ def cmd_build_table(
     """Sample the corpus, count n-grams, and write the frozen table.
 
     Whitespace runs also write the vocabulary next to the table
-    (``<out>.vocab.json``) so later benchmarks can share token ids.
+    (``<out>.vocab.json``) so later benchmarks can share token ids.  Each
+    stage's input is released once the next stage holds its output, so
+    counting and ranking are not allocated on top of the corpus.
     """
+    if tokenizer not in TOKENIZERS:
+        raise ValueError(f"unknown tokenizer mode {tokenizer!r}")
     docs = read_documents(corpus_paths, doc_mode)
     sampled = sample_documents(docs, sample_fraction, seed)
+    del docs
     if not sampled:
         print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
     vocab = Vocab() if tokenizer == "whitespace" else None
     corpus = [tokenize(text, tokenizer, vocab) for text in sampled]
-    table = build_frozen(count_ngrams(corpus, tcfg), tcfg)
+    del sampled
+    counts = count_ngrams(corpus, tcfg)
+    del corpus
+    table = build_frozen(counts, tcfg)
+    del counts
     out = Path(out)
     table.save(out)
     if vocab is not None:
@@ -463,7 +474,7 @@ def _add_table_shape_args(p: argparse.ArgumentParser, lengths: Callable = int) -
     p.add_argument("--fl", type=lengths, default=str(RunConfig.fl), help="tokens per follower")
     p.add_argument("--lc", type=int, default=RunConfig.lc, help="max leaders per table")
     p.add_argument("--fc", type=int, default=RunConfig.fc, help="max followers per leader")
-    p.add_argument("--tokenizer", choices=("whitespace", "byte"), default=RunConfig.tokenizer)
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default=RunConfig.tokenizer)
     p.add_argument("--doc-mode", choices=("line", "file"), default=RunConfig.doc_mode)
 
 

@@ -1,12 +1,13 @@
 """Immutable frequency-ranked cache table built offline from a corpus.
 
 Counting slides a window of ``ll + fl`` tokens over each document (windows
-never cross document boundaries); the first ``ll`` tokens are the leader and
-the next ``fl`` the follower.  Token ids are u32: ``0 <= id < 2**32``.  The
-work runs in NumPy over all documents at once: each window is packed into
-one int64 key whose radix is the largest id + 1, so sorting the keys orders
-the windows lexicographically, and runs of equal keys give each distinct
-window's count.  A leader's count is the sum of its windows' counts.
+crossing a document end, found from the document lengths, are dropped); the
+first ``ll`` tokens are the leader and the next ``fl`` the follower.  Token
+ids are u32: ``0 <= id < 2**32``.  The work runs in NumPy over all documents
+at once: each window is packed into one int64 key whose radix is the largest
+id + 1, so sorting the keys orders the windows lexicographically, and runs of
+equal keys give each distinct window's count.  A leader's count is the sum of
+its windows' counts.
 
 The built table keeps the ``lc`` most frequent leaders, each with those of
 its ``fc`` most frequent followers that no more frequent one shares a first
@@ -107,11 +108,13 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
         key *= base
         key += flat[c : c + n_windows]
         bound *= base
-    # A window crosses a document end when its first and last tokens lie in
-    # different documents; such keys become -1 and sort first.
-    doc = np.repeat(np.arange(len(docs), dtype=np.int32), lengths)
-    key[doc[:n_windows] != doc[width - 1 :]] = -1
-    del doc, flat  # set-up's peak memory is the few n-length arrays alive at once
+    # The windows starting at e - width + 1 ... e - 1 cross the document end
+    # e (a cumulative length); their keys become -1 and sort first.
+    del flat  # set-up's peak memory is the few n-length arrays alive at once
+    ends = np.cumsum(lengths)
+    for back in range(1, width):
+        cross = ends - back
+        key[cross[(cross >= 0) & (cross < n_windows)]] = -1
 
     key.sort()
     key = key[np.searchsorted(key, 0) :]

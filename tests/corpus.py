@@ -44,3 +44,11 @@ def eval_texts(n_docs: int = 6) -> list[str]:
             parts.append(sentence)
         docs.append(" ".join(parts))
     return docs
+
+
+def repetitive_docs(n_docs: int = 5000, seed: int = 7) -> list[list[int]]:
+    """Token-id documents of five phrases each, drawn from 50 eight-token
+    phrases over 400 ids: many tokens, few distinct windows."""
+    rng = random.Random(seed)
+    phrases = [[rng.randrange(400) for _ in range(8)] for _ in range(50)]
+    return [[t for _ in range(5) for t in rng.choice(phrases)] for _ in range(n_docs)]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -32,7 +33,7 @@ from ngramspec.cli import (
 from ngramspec.decode_loop import ReplayOracle
 from ngramspec.frozen_table import FrozenTable, build_frozen, count_ngrams
 
-from corpus import background_texts, eval_texts
+from corpus import background_texts, eval_texts, repetitive_docs
 from oracles import SimDecoder, cbft_bytes, naive_frozen_map
 
 
@@ -90,6 +91,15 @@ class TestReadAndSample:
         p.write_text("one two\n\nthree\n", encoding="utf-8")
         assert read_documents([p], "line") == ["one two", "three"]
         assert read_documents([p], "file") == ["one two\n\nthree\n"]
+
+    def test_unicode_whitespace_lines_skipped_and_zero_width_space_kept(self, tmp_path):
+        p = tmp_path / "docs.txt"
+        p.write_text("a\n\t\x0b\u3000\n\u3000\n\u200b\n\nb\n", encoding="utf-8")
+        assert read_documents([p], "line") == ["a", "\u200b", "b"]
+        p.write_text("\t\x0b\u3000\n", encoding="utf-8")
+        assert read_documents([p], "file") == []
+        p.write_text("\u200b", encoding="utf-8")
+        assert read_documents([p], "file") == ["\u200b"]
 
     def test_unknown_doc_mode_rejected(self, tmp_path):
         p = tmp_path / "docs.txt"
@@ -168,6 +178,41 @@ class TestBuildTable:
         assert table.entries == {}
         assert (table.config.ll, table.config.fl, table.config.fc) == (1, 2, 4)
         assert Vocab.load(tmp_path / "t.cbft.vocab.json").words() == []
+
+    @pytest.mark.parametrize("text", ["", "a b c\n", None], ids=["empty", "words", "missing"])
+    def test_unknown_tokenizer_rejected_before_the_corpus_is_read(self, tmp_path, capsys, text):
+        src = tmp_path / "corpus.txt"
+        if text is not None:
+            src.write_text(text, encoding="utf-8")
+        out = tmp_path / "t.cbft"
+        with pytest.raises(ValueError, match="unknown tokenizer mode 'words'"):
+            cmd_build_table([src], out, CacheTableConfig(1, 3, 8, 8), tokenizer="words")
+        assert not out.exists()
+        assert not (tmp_path / "t.cbft.vocab.json").exists()
+        assert capsys.readouterr().err == ""
+
+    def test_corpus_released_before_ranking(self, tmp_path, monkeypatch):
+        # On a repetitive corpus the counts are far smaller than the text, so
+        # the bytes still live when ranking starts stay below the file's size
+        # only if the lines and the id lists are gone by then.
+        src = tmp_path / "corpus.txt"
+        lines = (" ".join(f"w{t}" for t in doc) for doc in repetitive_docs())
+        src.write_text("\n".join(lines), encoding="utf-8")
+        live = []
+
+        def probe(counts, tcfg):
+            live.append(tracemalloc.get_traced_memory()[0] - before)
+            return build_frozen(counts, tcfg)
+
+        monkeypatch.setattr(cli, "build_frozen", probe)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cmd_build_table([src], tmp_path / "t.cbft", CacheTableConfig(1, 3, 2**20, 128))
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] < src.stat().st_size
 
     def test_byte_mode_writes_no_sidecar(self, tmp_path):
         src = tmp_path / "corpus.txt"

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from ngramspec.cache_table import CacheTableConfig
@@ -15,6 +17,7 @@ from ngramspec.frozen_table import (
     count_ngrams,
 )
 
+from corpus import repetitive_docs
 from oracles import cbft_bytes, naive_frozen_map
 
 
@@ -49,7 +52,11 @@ class TestCountNgrams:
         counts = count_ngrams([[1, 2], [], [3], [4, 5, 6]], tcfg)
         assert distinct(counts) == {(1, 2): 1, (4, 5): 1, (5, 6): 1}
 
-    @pytest.mark.parametrize("bad", [-1, 2**32, 2**70], ids=["negative", "2**32", "2**70"])
+    @pytest.mark.parametrize(
+        "bad",
+        [-1, 2**32, 2**70, np.int64(-1), np.int64(2**32)],
+        ids=["negative", "2**32", "2**70", "np-negative", "np-2**32"],
+    )
     def test_ids_outside_u32_rejected(self, bad):
         with pytest.raises(ValueError, match="2\\*\\*32"):
             count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
@@ -58,6 +65,22 @@ class TestCountNgrams:
         top = 2**32 - 1
         counts = count_ngrams([[0, top, 0, top]], CacheTableConfig(2, 2, 8, 8))
         assert distinct(counts) == {(0, top, 0, top): 1}
+
+    def test_peak_memory_per_token(self):
+        # Two int64 arrays per token (the ids and the packed keys) and little
+        # else: no per-token document array marks the crossing windows.
+        docs = repetitive_docs()
+        n_tokens = sum(map(len, docs))
+        assert n_tokens >= 200_000
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            count_ngrams(docs, CacheTableConfig(1, 3, 8, 8))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / n_tokens <= 18
 
 
 class TestBuildFrozen:
