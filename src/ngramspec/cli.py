@@ -17,6 +17,7 @@ import os
 import random
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -108,10 +109,14 @@ def read_documents(paths: Sequence[str | Path], doc_mode: str) -> list[str]:
     return docs
 
 
-def sample_documents(docs: Sequence[str], fraction: float, seed: int) -> list[str]:
-    """Seeded Bernoulli document sample; ``fraction`` must be in (0, 1]."""
+def _check_fraction(fraction: float) -> None:
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
+
+
+def sample_documents(docs: Sequence[str], fraction: float, seed: int) -> list[str]:
+    """Seeded Bernoulli document sample; ``fraction`` must be in (0, 1]."""
+    _check_fraction(fraction)
     rng = random.Random(seed)
     return [doc for doc in docs if rng.random() < fraction]
 
@@ -304,17 +309,19 @@ def cmd_build_table(
     Whitespace runs also write the vocabulary next to the table
     (``<out>.vocab.json``) so later benchmarks can share token ids.  Each
     stage's input is released once the next stage holds its output, so
-    counting and ranking are not allocated on top of the corpus.
+    counting and ranking are not allocated on top of the corpus.  A document's
+    ids are one ``array('I')``: 4 bytes an id, one object for the collector.
     """
     if tokenizer not in TOKENIZERS:
         raise ValueError(f"unknown tokenizer mode {tokenizer!r}")
+    _check_fraction(sample_fraction)
     docs = read_documents(corpus_paths, doc_mode)
     sampled = sample_documents(docs, sample_fraction, seed)
     del docs
     if not sampled:
         print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
     vocab = Vocab() if tokenizer == "whitespace" else None
-    corpus = [tokenize(text, tokenizer, vocab) for text in sampled]
+    corpus = [array("I", tokenize(text, tokenizer, vocab)) for text in sampled]
     del sampled
     counts = count_ngrams(corpus, tcfg)
     del corpus
@@ -377,7 +384,7 @@ def _load_inputs(
     frozen_for = lambda tcfg: frozen
     if corpus_paths:
         texts = read_documents(corpus_paths, cfg.doc_mode)
-        corpus = [tokenize(text, cfg.tokenizer, vocab) for text in texts]
+        corpus = [array("I", tokenize(text, cfg.tokenizer, vocab)) for text in texts]
         frozen_for = lambda tcfg: build_frozen(count_ngrams(corpus, tcfg), tcfg)
     texts = read_documents(prompt_paths, cfg.doc_mode)
     return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen_for

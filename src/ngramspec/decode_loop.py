@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable, check_int
@@ -69,19 +70,23 @@ class KGramVerifier:
         self.order = order
         self.eos_token: int | None = None
         global_counts: Counter[int] = Counter()
-        windows: Counter[tuple[int, ...]] = Counter()
+        windows: Counter[tuple[tuple[int, ...], int]] = Counter()  # (context, next token)
         for doc in docs:
             tokens = tuple(doc)
             global_counts.update(tokens)
-            windows.update(zip(*(tokens[i:] for i in range(order + 1))))
+            windows.update(zip(zip(*(tokens[i:] for i in range(order))), tokens[order:]))
         if not global_counts:
             raise ValueError("training corpus contains no tokens")
-        # Freeze the argmax per context so lookups are O(1) and total: the
-        # first window of a context in (-count, next token) order wins.
+        # Freeze the argmax per context so lookups are O(1) and total: two
+        # stable sorts rank windows by (-count, next token), a context keeps
+        # its first window, and the most frequent contexts, inserted first,
+        # sit nearest their hash slots.  max also keeps the first of ties.
+        ranked = sorted(windows, key=itemgetter(1))
+        ranked.sort(key=windows.__getitem__, reverse=True)
         self._best: dict[tuple[int, ...], int] = {}
-        for window, _ in sorted(windows.items(), key=lambda kv: (-kv[1], kv[0][-1])):
-            self._best.setdefault(window[:-1], window[-1])
-        self._fallback = min(global_counts, key=lambda t: (-global_counts[t], t))
+        for context, token in ranked:
+            self._best.setdefault(context, token)
+        self._fallback = max(sorted(global_counts), key=global_counts.__getitem__)
         self.vocab_size: int | None = max(global_counts) + 1
 
     def greedy_next(self, prefix: Sequence[int]) -> int:

@@ -3,11 +3,11 @@
 Counting slides a window of ``ll + fl`` tokens over each document (windows
 crossing a document end, found from the document lengths, are dropped); the
 first ``ll`` tokens are the leader and the next ``fl`` the follower.  Token
-ids are u32: ``0 <= id < 2**32``.  The work runs in NumPy over all documents
-at once: each window is packed into one int64 key whose radix is the largest
-id + 1, so sorting the keys orders the windows lexicographically, and runs of
-equal keys give each distinct window's count.  A leader's count is the sum of
-its windows' counts.
+ids are u32: ``0 <= id < 2**32``.  The work runs in NumPy over one u32 array
+of all documents at once: each window is packed into one int64 key whose
+radix is the largest id + 1, so sorting the keys orders the windows
+lexicographically, and runs of equal keys give each distinct window's count.
+A leader's count is the sum of its windows' counts.
 
 The built table keeps the ``lc`` most frequent leaders, each with those of
 its ``fc`` most frequent followers that no more frequent one shares a first
@@ -32,6 +32,7 @@ Serialization format (CBFT), all integers little-endian:
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -44,7 +45,6 @@ from .cache_table import CacheTableConfig, Follower, Leader
 _MAGIC = b"CBFT"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIIIQI")
-_MAX_ID = 2**32 - 1
 
 
 class FrozenTableLoadError(ValueError):
@@ -59,10 +59,10 @@ class FrozenTableLoadError(ValueError):
 class NGramCounts:
     """Distinct windows of ``ll + fl`` tokens and how often each occurs.
 
-    ``windows`` is a ``(distinct, ll + fl)`` int64 array in ascending
-    lexicographic order, so each leader's windows are contiguous; ``counts``
-    holds their occurrence counts.  A leader's count is the sum of its
-    windows' counts.
+    ``windows`` is a ``(distinct, ll + fl)`` int64 array of u32 ids in
+    ascending lexicographic order, so each leader's windows are contiguous;
+    ``counts`` holds their occurrence counts.  A leader's count is the sum of
+    its windows' counts.
     """
 
     windows: np.ndarray
@@ -73,45 +73,46 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
     """Count every in-document window of ``ll + fl`` consecutive tokens.
 
     Documents shorter than one window contribute nothing.  Token ids must be
-    in ``[0, 2**32)`` (CBFT stores u32 ids); others raise ``ValueError``.
+    integers in ``[0, 2**32)`` (CBFT stores u32 ids); others raise
+    ``ValueError``.  The ids are copied into one u32 array: a memory copy for
+    ``array('I')`` documents (an array of another type code is refused).
     """
-    docs = list(streams)
     width = tcfg.ll + tcfg.fl
-    lengths = np.fromiter(map(len, docs), np.int64, len(docs))
+    flat = array("I")
+    ends = array("q")  # cumulative document lengths
     try:
-        flat = np.fromiter(chain.from_iterable(docs), np.int64, int(lengths.sum()))
-    except OverflowError as exc:
-        raise ValueError(f"token ids must be in [0, 2**32): {exc}") from exc
-    if flat.size and (flat.min() < 0 or flat.max() > _MAX_ID):
-        raise ValueError(
-            f"token ids must be in [0, 2**32), got {int(flat.min())}..{int(flat.max())}"
-        )
-    n_windows = flat.size - width + 1
+        for doc in streams:
+            flat.extend(doc)
+            ends.append(len(flat))
+    except (OverflowError, TypeError) as exc:
+        raise ValueError(f"token ids must be integers in [0, 2**32): {exc}") from exc
+    ids = np.frombuffer(flat, np.uint32)
+    n_windows = ids.size - width + 1
     if n_windows <= 0:
         return NGramCounts(np.zeros((0, width), np.int64), np.zeros(0, np.int64))
 
-    # Pack window i into key[i] = sum(flat[i + c] * base**(width-1-c)), so
+    # Pack window i into key[i] = sum(ids[i + c] * base**(width-1-c)), so
     # that sorting keys orders windows lexicographically.  Before a fold
     # could pass 2**63, the keys are replaced by their dense ranks (np.unique
     # keeps their order), and ``prefix`` maps each rank back to the tokens
     # folded so far.
-    base = int(flat.max()) + 1
-    key = np.zeros(n_windows, np.int64)
+    base = int(ids.max()) + 1
+    key = ids[:n_windows].astype(np.int64)
     prefix = np.zeros((1, 0), np.int64)
-    bound = 1  # every key is below it
-    for c in range(width):
+    bound = base  # every key is below it
+    for c in range(1, width):
         if bound * base > 2**63:
             ranked, key = np.unique(key, return_inverse=True)
             prefix = _unpack(ranked, prefix, base, c - prefix.shape[1])
             bound = len(prefix)
             del ranked
         key *= base
-        key += flat[c : c + n_windows]
+        key += ids[c : c + n_windows]
         bound *= base
     # The windows starting at e - width + 1 ... e - 1 cross the document end
     # e (a cumulative length); their keys become -1 and sort first.
-    del flat  # set-up's peak memory is the few n-length arrays alive at once
-    ends = np.cumsum(lengths)
+    del ids, flat  # set-up's peak memory is the few n-length arrays alive at once
+    ends = np.frombuffer(ends, np.int64)
     for back in range(1, width):
         cross = ends - back
         key[cross[(cross >= 0) & (cross < n_windows)]] = -1
@@ -155,12 +156,13 @@ class FrozenTable:
         return self.entries.get(leader, ())
 
     def save(self, sink: str | Path | BinaryIO) -> None:
-        """Write the table in the CBFT format described in the module docs."""
+        """Write the table in the CBFT format described in the module docs.
+        Every entry is checked before anything is written."""
+        data = _encode(self)
         if hasattr(sink, "write"):
-            _write(self, sink)  # type: ignore[arg-type]
+            sink.write(data)  # type: ignore[union-attr]
         else:
-            with open(sink, "wb") as fh:
-                _write(self, fh)
+            Path(sink).write_bytes(data)
 
     @classmethod
     def load(cls, source: str | Path | bytes) -> "FrozenTable":
@@ -192,8 +194,9 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
     group = np.cumsum(new_leader) - 1
     # Both sorts are stable, so equal counts keep lexicographic order.
     top = np.argsort(-np.add.reduceat(counts, starts), kind="stable")[: tcfg.lc]
-    order = np.lexsort((-counts, group))  # by leader, then by descending count
-    kept = order[np.arange(len(order)) - starts[group] < tcfg.fc]
+    # By leader, then by descending count: counts lie in [1, max], so one key sorts both.
+    kept = np.argsort(group * (int(counts.max()) + 1) - counts, kind="stable")
+    kept = kept[np.arange(len(kept)) - starts[group] < tcfg.fc]
     # Rank first, then keep only the best-ranked kept window of each run of
     # sorted windows that share a leader and a first follower token.
     run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]])
@@ -213,10 +216,11 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
     return FrozenTable(config=replace(tcfg, lc=len(entries)), entries=entries)
 
 
-def _write(table: FrozenTable, fh: BinaryIO) -> None:
+def _encode(table: FrozenTable) -> bytes:
+    """The table's CBFT bytes: the header, then every entry in one u32 buffer."""
     cfg = table.config
     ll, fl = cfg.ll, cfg.fl
-    fh.write(_HEADER.pack(_MAGIC, _VERSION, ll, fl, len(table.entries), cfg.fc))
+    words = array("I")
     for leader, followers in table.entries.items():
         if len(leader) != ll:
             raise ValueError(f"leader {leader!r} does not have length ll={ll}")
@@ -224,14 +228,11 @@ def _write(table: FrozenTable, fh: BinaryIO) -> None:
             bad = next(f for f in followers if len(f) != fl)
             raise ValueError(f"follower {bad!r} does not have length fl={fl}")
         # One entry: leader tokens, follower count, follower tokens.
-        fh.write(
-            struct.pack(
-                f"<{ll + 1 + fl * len(followers)}I",
-                *leader,
-                len(followers),
-                *chain.from_iterable(followers),
-            )
-        )
+        words.extend(leader)
+        words.append(len(followers))
+        words.extend(chain.from_iterable(followers))
+    header = _HEADER.pack(_MAGIC, _VERSION, ll, fl, len(table.entries), cfg.fc)
+    return header + np.asarray(words, "<u4").tobytes()
 
 
 def _parse(data: bytes) -> FrozenTable:

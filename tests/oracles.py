@@ -82,6 +82,17 @@ def snapshot(table) -> list:
     return [(leader, list(followers)) for leader, followers in table._entries.items()]
 
 
+def naive_window_counts(docs: Sequence[Sequence[int]], width: int) -> dict[tuple, int]:
+    """How often each in-document window of ``width`` tokens occurs."""
+    counts: dict[tuple, int] = {}
+    for doc in docs:
+        toks = tuple(doc)
+        for i in range(len(toks) - width + 1):
+            window = toks[i : i + width]
+            counts[window] = counts.get(window, 0) + 1
+    return counts
+
+
 def naive_frozen_map(
     docs: Sequence[Sequence[int]], ll: int, fl: int, lc: int, fc: int, *, stored: bool = False
 ) -> dict[tuple, list[tuple]]:

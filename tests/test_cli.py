@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from ngramspec import cli
 from ngramspec.cache_table import CacheTableConfig
 from ngramspec.cli import (
     EOS_TOKEN,
+    TOKENIZERS,
     RunConfig,
     Vocab,
     cmd_ablate,
@@ -190,6 +192,38 @@ class TestBuildTable:
         assert not out.exists()
         assert not (tmp_path / "t.cbft.vocab.json").exists()
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.5, 1.5])
+    def test_bad_fraction_rejected_before_the_corpus_is_read(self, tmp_path, fraction):
+        out = tmp_path / "t.cbft"
+        with pytest.raises(ValueError, match=r"sample fraction must be in \(0, 1\]"):
+            cmd_build_table(
+                [tmp_path / "missing.txt"], out, CacheTableConfig(1, 3, 8, 8), sample_fraction=fraction
+            )
+        assert not out.exists()
+        assert not (tmp_path / "t.cbft.vocab.json").exists()
+
+    @pytest.mark.parametrize("tokenizer", TOKENIZERS)
+    def test_corpus_reaches_counting_as_u32_arrays(self, tmp_path, monkeypatch, tokenizer):
+        # One array('I') per document: 4 bytes an id, copied by count_ngrams
+        # in one memcpy, and one object for the collector, not a list of ids.
+        src = tmp_path / "corpus.txt"
+        src.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        prompts = tmp_path / "p.txt"
+        prompts.write_text(eval_texts(1)[0], encoding="utf-8")
+        seen = []
+
+        def probe(docs, tcfg):
+            seen.append([(type(doc), getattr(doc, "typecode", None)) for doc in docs])
+            return count_ngrams(docs, tcfg)
+
+        monkeypatch.setattr(cli, "count_ngrams", probe)
+        tcfg = CacheTableConfig(1, 3, 64, 8)
+        cmd_build_table([src], tmp_path / "t.cbft", tcfg, tokenizer=tokenizer)
+        cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, tokenizer=tokenizer, max_new_tokens=4)
+        cmd_bench(cfg, [prompts], corpus_paths=[src])
+        assert len(seen) == 2
+        assert all(kinds == [(array, "I")] * 5 for kinds in seen)
 
     def test_corpus_released_before_ranking(self, tmp_path, monkeypatch):
         # On a repetitive corpus the counts are far smaller than the text, so

@@ -5,9 +5,12 @@ from __future__ import annotations
 import io
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngramspec.cache_table import CacheTableConfig
 from ngramspec.frozen_table import (
@@ -18,7 +21,7 @@ from ngramspec.frozen_table import (
 )
 
 from corpus import repetitive_docs
-from oracles import cbft_bytes, naive_frozen_map
+from oracles import cbft_bytes, naive_frozen_map, naive_window_counts
 
 
 def empty_table(tcfg):
@@ -61,14 +64,20 @@ class TestCountNgrams:
         with pytest.raises(ValueError, match="2\\*\\*32"):
             count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
 
+    @pytest.mark.parametrize("bad", [2.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
+    def test_non_integer_ids_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*32\)"):
+            count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
+
     def test_u32_extremes_accepted(self):
         top = 2**32 - 1
         counts = count_ngrams([[0, top, 0, top]], CacheTableConfig(2, 2, 8, 8))
         assert distinct(counts) == {(0, top, 0, top): 1}
 
     def test_peak_memory_per_token(self):
-        # Two int64 arrays per token (the ids and the packed keys) and little
-        # else: no per-token document array marks the crossing windows.
+        # A u32 id and an int64 packed key per token (12 bytes) and little
+        # else: no int64 copy of the ids, no per-token document array, and
+        # the document ends in one int64 array.
         docs = repetitive_docs()
         n_tokens = sum(map(len, docs))
         assert n_tokens >= 200_000
@@ -80,7 +89,7 @@ class TestCountNgrams:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak / n_tokens <= 18
+        assert peak / n_tokens <= 13.5
 
 
 class TestBuildFrozen:
@@ -241,12 +250,21 @@ class TestSerialization:
         [
             ({(1,): ((2,),)}, "leader .* ll=2"),
             ({(1, 2): ((3,), (4, 5))}, "follower .* fl=1"),
+            ({(5, 6): ((7,),), (1, 2): ((3,), (4, 5))}, "follower .* fl=1"),
         ],
     )
-    def test_save_rejects_keys_of_the_wrong_length(self, entries, match):
+    def test_save_rejects_keys_of_the_wrong_length(self, tmp_path, entries, match):
+        # Every entry is checked before anything is written, so a rejected
+        # save leaves no partial file that would later load as truncated.
         table = FrozenTable(config=CacheTableConfig(2, 1, 4, 4), entries=entries)
+        sink = io.BytesIO()
         with pytest.raises(ValueError, match=match):
-            table.save(io.BytesIO())
+            table.save(sink)
+        assert sink.getvalue() == b""
+        path = tmp_path / "t.cbft"
+        with pytest.raises(ValueError, match=match):
+            table.save(path)
+        assert not path.exists()
 
     def test_trailing_garbage_rejected(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))
@@ -265,6 +283,26 @@ class TestSerialization:
             table.save(sink)
             blobs.append(sink.getvalue())
         assert blobs[0] == blobs[1]
+
+
+u32_docs = st.lists(
+    st.lists(st.sampled_from([0, 1, 7, 2**16, 2**32 - 1]) | st.integers(0, 2**32 - 1), max_size=12),
+    max_size=6,
+)
+
+
+@given(docs=u32_docs, ll=st.integers(1, 3), fl=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_u32_array_documents_count_as_lists(docs, ll, fl):
+    """The corpus as ``array('I')`` documents, as the CLI holds it, counts
+    exactly as the same ids in lists: empty, short and extreme-id documents too."""
+    tcfg = CacheTableConfig(ll, fl, 8, 8)
+    from_lists = count_ngrams(docs, tcfg)
+    from_arrays = count_ngrams([array("I", doc) for doc in docs], tcfg)
+    assert from_arrays.windows.dtype == from_lists.windows.dtype == np.int64
+    assert np.array_equal(from_arrays.windows, from_lists.windows)
+    assert np.array_equal(from_arrays.counts, from_lists.counts)
+    assert distinct(from_lists) == naive_window_counts(docs, ll + fl)
 
 
 @pytest.mark.parametrize("seed", range(25))
