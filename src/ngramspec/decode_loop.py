@@ -90,11 +90,9 @@ class KGramVerifier:
         self.vocab_size: int | None = max(global_counts) + 1
 
     def greedy_next(self, prefix: Sequence[int]) -> int:
-        if len(prefix) >= self.order:
-            hit = self._best.get(tuple(prefix[-self.order :]))
-            if hit is not None:
-                return hit
-        return self._fallback
+        # A prefix shorter than ``order`` gives a shorter tuple, never a key.
+        hit = self._best.get(tuple(prefix[-self.order :]))
+        return self._fallback if hit is None else hit
 
 
 @dataclass(frozen=True)

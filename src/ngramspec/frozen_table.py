@@ -7,7 +7,8 @@ ids are u32: ``0 <= id < 2**32``.  The work runs in NumPy over one u32 array
 of all documents at once: each window is packed into one int64 key whose
 radix is the largest id + 1, so sorting the keys orders the windows
 lexicographically, and runs of equal keys give each distinct window's count.
-A leader's count is the sum of its windows' counts.
+Keys are int64 only while packing: the distinct windows are unpacked into
+u32 columns.  A leader's count is the sum of its windows' counts.
 
 The built table keeps the ``lc`` most frequent leaders, each with those of
 its ``fc`` most frequent followers that no more frequent one shares a first
@@ -59,10 +60,10 @@ class FrozenTableLoadError(ValueError):
 class NGramCounts:
     """Distinct windows of ``ll + fl`` tokens and how often each occurs.
 
-    ``windows`` is a ``(distinct, ll + fl)`` int64 array of u32 ids in
+    ``windows`` is a ``(distinct, ll + fl)`` uint32 array of ids in
     ascending lexicographic order, so each leader's windows are contiguous;
-    ``counts`` holds their occurrence counts.  A leader's count is the sum of
-    its windows' counts.
+    ``counts`` holds their int64 occurrence counts.  A leader's count is the
+    sum of its windows' counts.
     """
 
     windows: np.ndarray
@@ -89,7 +90,7 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
     ids = np.frombuffer(flat, np.uint32)
     n_windows = ids.size - width + 1
     if n_windows <= 0:
-        return NGramCounts(np.zeros((0, width), np.int64), np.zeros(0, np.int64))
+        return NGramCounts(np.zeros((0, width), np.uint32), np.zeros(0, np.int64))
 
     # Pack window i into key[i] = sum(ids[i + c] * base**(width-1-c)), so
     # that sorting keys orders windows lexicographically.  Before a fold
@@ -98,7 +99,7 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
     # folded so far.
     base = int(ids.max()) + 1
     key = ids[:n_windows].astype(np.int64)
-    prefix = np.zeros((1, 0), np.int64)
+    prefix = np.zeros((1, 0), np.uint32)
     bound = base  # every key is below it
     for c in range(1, width):
         if bound * base > 2**63:
@@ -122,20 +123,22 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
     head = np.empty(key.size, bool)
     head[:1] = True
     np.not_equal(key[1:], key[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    counts = np.diff(starts, append=key.size)
-    key = key[starts]
-    del head, starts
+    key = key[head]  # the n-length keys are freed before the counts are made
+    counts = np.flatnonzero(head)  # run starts, made run lengths in place
+    counts[:-1] = np.diff(counts)
+    counts[-1:] = head.size - counts[-1:]
+    del head
     return NGramCounts(_unpack(key, prefix, base, width - prefix.shape[1]), counts)
 
 
 def _unpack(keys: np.ndarray, prefix: np.ndarray, base: int, k: int) -> np.ndarray:
-    """Tokens of packed ``keys`` (consumed): the last ``k`` radix-``base``
-    digits are tokens, the leading part is a row index into ``prefix``."""
+    """The u32 token columns of packed int64 ``keys`` (consumed): the last
+    ``k`` radix-``base`` digits are tokens, the leading part is a row index
+    into the u32 ``prefix`` table."""
     p = prefix.shape[1]
-    out = np.empty((len(keys), p + k), np.int64)
-    for c in reversed(range(p, p + k)):
-        np.divmod(keys, base, out=(keys, out[:, c]))
+    out = np.empty((len(keys), p + k), np.uint32)
+    for c in reversed(range(p, p + k)):  # a remainder is below base <= 2**32
+        np.divmod(keys, base, out=(keys, out[:, c]), casting="unsafe")
     out[:, :p] = prefix[keys]
     return out
 
@@ -186,20 +189,25 @@ def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
         raise ValueError(f"counted windows have {windows.shape[1]} tokens, not ll + fl = {width}")
     if not len(windows):
         return FrozenTable(config=replace(tcfg, lc=1), entries={})
+    # Window indices fit int32 below 2**31 windows; the sort key is int64, as
+    # an int32 product would wrap silently.
+    index = np.int32 if len(windows) < 2**31 else np.int64
     # Windows are sorted, so each leader's windows form one contiguous group.
     new_leader = np.empty(len(windows), bool)
     new_leader[0] = True
     np.any(windows[1:, :ll] != windows[:-1, :ll], axis=1, out=new_leader[1:])
-    starts = np.flatnonzero(new_leader)
-    group = np.cumsum(new_leader) - 1
+    starts = np.flatnonzero(new_leader).astype(index)
+    group = np.cumsum(new_leader, dtype=index) - 1
     # Both sorts are stable, so equal counts keep lexicographic order.
     top = np.argsort(-np.add.reduceat(counts, starts), kind="stable")[: tcfg.lc]
     # By leader, then by descending count: counts lie in [1, max], so one key sorts both.
-    kept = np.argsort(group * (int(counts.max()) + 1) - counts, kind="stable")
-    kept = kept[np.arange(len(kept)) - starts[group] < tcfg.fc]
+    rank = np.multiply(group, counts.max() + 1, dtype=np.int64) - counts
+    kept = np.argsort(rank, kind="stable").astype(index)
+    del rank
+    kept = kept[np.arange(len(kept), dtype=index) - starts[group] < tcfg.fc]
     # Rank first, then keep only the best-ranked kept window of each run of
     # sorted windows that share a leader and a first follower token.
-    run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]])
+    run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]], dtype=index)
     kept = kept[np.sort(np.unique(run[kept], return_index=True)[1])]
     in_top = np.zeros(len(starts), bool)
     in_top[top] = True

@@ -52,3 +52,10 @@ def repetitive_docs(n_docs: int = 5000, seed: int = 7) -> list[list[int]]:
     rng = random.Random(seed)
     phrases = [[rng.randrange(400) for _ in range(8)] for _ in range(50)]
     return [[t for _ in range(5) for t in rng.choice(phrases)] for _ in range(n_docs)]
+
+
+def diverse_docs(n_docs: int = 2000, seed: int = 11) -> list[list[int]]:
+    """Token-id documents of 100 ids each drawn uniformly from 50,000: many
+    tokens, and almost every window of four tokens distinct."""
+    rng = random.Random(seed)
+    return [[rng.randrange(50_000) for _ in range(100)] for _ in range(n_docs)]

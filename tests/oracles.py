@@ -96,7 +96,16 @@ def naive_window_counts(docs: Sequence[Sequence[int]], width: int) -> dict[tuple
 def naive_frozen_map(
     docs: Sequence[Sequence[int]], ll: int, fl: int, lc: int, fc: int, *, stored: bool = False
 ) -> dict[tuple, list[tuple]]:
-    """Brute-force frequency table: count every in-document window, sort
+    """Brute-force frequency table: count every in-document window, then
+    rank the counted windows with ``ranked_window_map``."""
+    counted = naive_window_counts(docs, ll + fl)
+    return ranked_window_map(list(counted), list(counted.values()), ll, lc, fc, stored=stored)
+
+
+def ranked_window_map(
+    windows: Sequence[Sequence[int]], counts: Sequence[int], ll: int, lc: int, fc: int, *, stored: bool = False
+) -> dict[tuple, list[tuple]]:
+    """Brute-force ranking of counted windows: sum each leader's counts, sort
     with explicit comparison keys, keep the top lc leaders / fc followers.
 
     With ``stored``, the map a CBFT file holds: each leader's top fc list is
@@ -104,15 +113,11 @@ def naive_frozen_map(
     starts with the same token."""
     leader_counts: dict[tuple, int] = {}
     follower_counts: dict[tuple, dict[tuple, int]] = {}
-    width = ll + fl
-    for doc in docs:
-        toks = tuple(doc)
-        for i in range(len(toks) - width + 1):
-            leader = toks[i : i + ll]
-            follower = toks[i + ll : i + width]
-            leader_counts[leader] = leader_counts.get(leader, 0) + 1
-            slot = follower_counts.setdefault(leader, {})
-            slot[follower] = slot.get(follower, 0) + 1
+    for window, count in zip(windows, counts):
+        leader, follower = tuple(window[:ll]), tuple(window[ll:])
+        leader_counts[leader] = leader_counts.get(leader, 0) + count
+        slot = follower_counts.setdefault(leader, {})
+        slot[follower] = slot.get(follower, 0) + count
     top_leaders = sorted(leader_counts, key=lambda L: (-leader_counts[L], L))[:lc]
     out: dict[tuple, list[tuple]] = {}
     for leader in top_leaders:

@@ -611,6 +611,15 @@ class TestVerifierInputs:
         with pytest.raises(ValueError, match="no tokens"):
             KGramVerifier(1, docs)
 
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_kgram_prefix_shorter_than_order_falls_back(self, order):
+        doc = [1, 2, 3, 4, 5]
+        verifier = KGramVerifier(order, [doc, [9] * 10])
+        assert verifier._fallback == 9
+        for end in range(order):
+            assert verifier.greedy_next(doc[:end]) == 9
+        assert verifier.greedy_next(doc[:order]) == doc[order]
+
     def test_replay_negative_prompt_length_rejected(self):
         for prompt_len in (-1, 1.5):
             with pytest.raises(ValueError, match="prompt_len"):

@@ -16,16 +16,30 @@ from ngramspec.cache_table import CacheTableConfig
 from ngramspec.frozen_table import (
     FrozenTable,
     FrozenTableLoadError,
+    NGramCounts,
     build_frozen,
     count_ngrams,
 )
 
-from corpus import repetitive_docs
-from oracles import cbft_bytes, naive_frozen_map, naive_window_counts
+from corpus import diverse_docs, repetitive_docs
+from oracles import cbft_bytes, naive_frozen_map, naive_window_counts, ranked_window_map
 
 
 def empty_table(tcfg):
     return build_frozen(count_ngrams([], tcfg), tcfg)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak traced memory it allocated above what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def distinct(counts):
@@ -81,15 +95,25 @@ class TestCountNgrams:
         docs = repetitive_docs()
         n_tokens = sum(map(len, docs))
         assert n_tokens >= 200_000
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            count_ngrams(docs, CacheTableConfig(1, 3, 8, 8))
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(count_ngrams, docs, CacheTableConfig(1, 3, 8, 8))
         assert peak / n_tokens <= 13.5
+
+    def test_peak_memory_per_token_when_windows_are_distinct(self):
+        # Nearly one distinct window per token: the n-length keys are freed
+        # before the per-window counts are made, and windows are unpacked
+        # straight into u32 columns.  int64 columns made while the n-length
+        # keys are alive peak at 46.8 bytes a token.
+        docs = diverse_docs()
+        n_tokens = sum(map(len, docs))
+        counts, peak = traced_peak(count_ngrams, docs, CacheTableConfig(1, 3, 8, 8))
+        assert len(counts.windows) >= 0.95 * n_tokens
+        assert peak / n_tokens <= 33
+
+    def test_counted_windows_take_24_bytes_each(self):
+        # Four u32 ids and an int64 count; int64 ids would take 40 bytes.
+        counts = count_ngrams(diverse_docs(), CacheTableConfig(1, 3, 8, 8))
+        assert counts.windows.dtype == np.uint32
+        assert (counts.windows.nbytes + counts.counts.nbytes) / len(counts.windows) == 24
 
 
 class TestBuildFrozen:
@@ -120,6 +144,28 @@ class TestBuildFrozen:
         assert table.query((1,)) == ((2, 3),)
         wider = CacheTableConfig(1, 2, 8, 3)
         assert build_frozen(count_ngrams(docs, wider), wider).query((1,)) == ((2, 3), (5, 6))
+
+    def test_peak_memory_per_window(self):
+        # Ranking holds int32 window indices and one int64 sort key; int64
+        # indices peak at 77.7 bytes a window above the input.
+        tcfg = CacheTableConfig(1, 3, 8, 8)
+        counts = count_ngrams(diverse_docs(), tcfg)
+        _, peak = traced_peak(build_frozen, counts, tcfg)
+        assert peak / len(counts.windows) <= 52
+
+    def test_sort_key_does_not_overflow(self):
+        # group * (max count + 1) passes 2**31 from about the 2,048th leader
+        # with counts near 2**20, and from the second leader on with the one
+        # count near 2**40; int32 arithmetic would wrap or raise.
+        rng = random.Random(3)
+        windows = [(leader, f) for leader in range(70_001) for f in range(leader % 3 + 1)]
+        counts = [2**20 - rng.randrange(1000) for _ in windows]
+        counts[1] = 2**40 + 3
+        tcfg = CacheTableConfig(1, 1, 60_000, 2)
+        table = build_frozen(NGramCounts(np.array(windows, np.uint32), np.array(counts)), tcfg)
+        expected = ranked_window_map(windows, counts, 1, 60_000, 2, stored=True)
+        assert {k: list(v) for k, v in table.entries.items()} == expected
+        assert list(table.entries) == list(expected)
 
     def test_counts_of_another_shape_rejected(self):
         counts = count_ngrams([[1, 2, 3]], CacheTableConfig(1, 2, 8, 8))
@@ -299,7 +345,7 @@ def test_u32_array_documents_count_as_lists(docs, ll, fl):
     tcfg = CacheTableConfig(ll, fl, 8, 8)
     from_lists = count_ngrams(docs, tcfg)
     from_arrays = count_ngrams([array("I", doc) for doc in docs], tcfg)
-    assert from_arrays.windows.dtype == from_lists.windows.dtype == np.int64
+    assert from_arrays.windows.dtype == from_lists.windows.dtype == np.uint32
     assert np.array_equal(from_arrays.windows, from_lists.windows)
     assert np.array_equal(from_arrays.counts, from_lists.counts)
     assert distinct(from_lists) == naive_window_counts(docs, ll + fl)
