@@ -6,16 +6,18 @@ refreshed by both queries and inserts; follower recency is refreshed only by
 insertion, and a follower's recency is compared only against followers of the
 same leader.
 
-Backed by nested ``OrderedDict`` (hash map + doubly linked list), so query,
-insert, and eviction are all O(1).  ``insert_windows`` is the one routine that
-slides the ``ll + fl`` window over a token sequence; it seeds an empty table in
-one backward pass that does not go through ``insert``.
+Leaders live in an ``OrderedDict`` (hash map + doubly linked list), each
+leader's followers in a plain list, newest first: a query and a leader
+eviction are O(1), an insert is O(fc) in C (one membership scan plus a memmove).
+``insert_windows`` is the one routine that slides the ``ll + fl`` window over
+a token sequence; it seeds an empty table in one backward pass that does not
+go through ``insert``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 Leader = tuple[int, ...]
@@ -53,9 +55,9 @@ class LruCacheTable:
     """Leader -> followers map with two-level LRU eviction.
 
     The outer ``OrderedDict`` orders leaders by recency (least recent first);
-    each inner ``OrderedDict`` orders one leader's followers by insertion
-    recency (most recent first).  A query returns them in that order and
-    refreshes the leader's recency, but never touches follower recency.
+    each leader's list orders its followers by insertion recency (most recent
+    first).  A query returns that list and refreshes the leader's recency,
+    but never touches follower recency.
 
     Single-writer: one decode task owns a table at a time.  Queries mutate
     recency, so concurrent readers are not supported.
@@ -71,15 +73,16 @@ class LruCacheTable:
         # Copies of the config fields keep the per-op attribute chain short.
         self._ll, self._fl = config.ll, config.fl
         self._lc, self._fc = config.lc, config.fc
-        self._entries: OrderedDict[Leader, OrderedDict[Follower, None]] = OrderedDict()
+        self._entries: OrderedDict[Leader, list[Follower]] = OrderedDict()
 
-    def query(self, leader: Leader) -> Collection[Follower]:
+    def query(self, leader: Leader) -> Sequence[Follower]:
         """Return the leader's followers, most recently inserted first.
 
-        A hit refreshes the leader's recency and returns a live view, valid
-        until the next insert for that leader (the draft builder makes none
-        while it iterates; the table is single-writer).  An absent leader
-        yields ``()`` and leaves the table untouched.
+        A hit refreshes the leader's recency and returns the stored list
+        itself: callers must not mutate it, and it is valid until the next
+        insert for that leader (the draft builder makes none while it
+        iterates; the table is single-writer).  An absent leader yields
+        ``()`` and leaves the table untouched.
         """
         if len(leader) != self._ll:
             raise ValueError(
@@ -89,16 +92,16 @@ class LruCacheTable:
         if followers is None:
             return ()
         self._entries.move_to_end(leader)
-        return followers.keys()
+        return followers
 
     def insert(self, leader: Leader, follower: Follower) -> Leader | Follower | None:
         """Record that ``follower`` was observed right after ``leader``.
 
-        One path: a new leader evicts the least recent leader (its followers
-        go with it) once ``lc`` is reached and starts empty; a known leader
-        becomes the most recent.  Then the follower is set at the front,
-        without duplication, and the least recent follower past ``fc`` is
-        popped.  Returns the dropped leader or follower, if any.
+        A new leader evicts the least recent leader (its followers go with
+        it) once ``lc`` is reached and starts with this one follower.  A known
+        leader becomes the most recent; unless the follower is already first,
+        it is moved or added to the front and the least recent follower past
+        ``fc`` is popped.  Returns the dropped leader or follower, if any.
         """
         if len(leader) != self._ll:
             raise ValueError(
@@ -108,19 +111,20 @@ class LruCacheTable:
             raise ValueError(
                 f"follower length {len(follower)} does not match fl={self._fl}"
             )
-        dropped = None
         followers = self._entries.get(leader)
         if followers is None:
+            dropped = None
             if len(self._entries) >= self._lc:
                 dropped = self._entries.popitem(last=False)[0]
-            self._entries[leader] = followers = OrderedDict()
-        else:
-            self._entries.move_to_end(leader)
-        followers[follower] = None
-        followers.move_to_end(follower, last=False)
-        if len(followers) > self._fc:
-            return followers.popitem()[0]
-        return dropped
+            self._entries[leader] = [follower]
+            return dropped
+        self._entries.move_to_end(leader)
+        if followers[0] == follower:
+            return None
+        if follower in followers:
+            followers.remove(follower)
+        followers.insert(0, follower)
+        return followers.pop() if len(followers) > self._fc else None
 
     def insert_windows(self, tokens: Sequence[int], start: int = 0) -> None:
         """Insert the (leader, follower) pair of every ``ll + fl`` window of
@@ -147,18 +151,20 @@ class LruCacheTable:
         last window: backwards, the first ``fc`` distinct followers met, and
         the leaders in reverse order of first meeting.  Past ``lc`` leaders,
         an evicted leader could return with fewer followers.  A new leader
-        starts empty and gets its first follower through the ``fc`` step.
+        starts with the follower of its newest window.
         """
         ll, width, lc, fc = self._ll, self._ll + self._fl, self._lc, self._fc
-        seen: dict[Leader, OrderedDict[Follower, None]] = {}
+        seen: dict[Leader, list[Follower]] = {}
         for i in range(len(src) - width, -1, -1):
             leader = src[i : i + ll]
             followers = seen.get(leader)
             if followers is None:
                 if len(seen) == lc:
                     return False
-                seen[leader] = followers = OrderedDict()
-            if len(followers) < fc:
-                followers.setdefault(src[i + ll : i + width])
+                seen[leader] = [src[i + ll : i + width]]
+            elif len(followers) < fc:
+                follower = src[i + ll : i + width]
+                if follower not in followers:
+                    followers.append(follower)
         self._entries = OrderedDict(reversed(seen.items()))
         return True

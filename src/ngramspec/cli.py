@@ -46,20 +46,17 @@ class Vocab:
         self._ids: dict[str, int] = {}
         self.table_sha256 = table_sha256
         for word in words:
-            self.id(word)
-
-    def id(self, word: str) -> int:
-        at = self._ids.get(word)
-        if at is None:
-            at = self._ids[word] = len(self._ids)
-        return at
+            self._ids.setdefault(word, len(self._ids))
 
     def encode(self, text: str) -> list[int]:
-        words = text.split()
+        words, ids = text.split(), self._ids
         try:
-            return list(map(self._ids.__getitem__, words))
-        except KeyError:  # a new word: assign ids in first-seen order
-            return [self.id(word) for word in words]
+            return list(map(ids.__getitem__, words))
+        except KeyError:  # a new word: give new words ids in first-seen order, then map
+            for word in words:
+                if word not in ids:
+                    ids[word] = len(ids)
+            return list(map(ids.__getitem__, words))
 
     def words(self) -> list[str]:
         return list(self._ids)

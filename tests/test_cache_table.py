@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -200,6 +201,32 @@ def test_insert_windows_matches_reference(seed):
     assert runs["fill_evicts"] >= 5 and runs["many_leaders"] >= 5 and runs["start"] >= 5, runs
 
 
+def check_against_reference(cfg, ops) -> Counter:
+    """Replay ``ops`` on a table and on the reference, comparing every result
+    and the whole state after each op; count which path each insert into a
+    known leader takes, judged on the reference before the insert."""
+    ll, fl, lc, fc = cfg
+    real, ref = LruCacheTable(CacheTableConfig(*cfg)), RefLruTable(*cfg)
+    paths: Counter = Counter()
+    for kind, a, b in ops:
+        leader = tuple(a + i for i in range(ll))
+        follower = tuple(b + i for i in range(fl))
+        if kind == "query":
+            assert list(real.query(leader)) == ref.query(leader)
+        else:
+            followers = ref.peek(leader)
+            if followers:
+                if followers[0] == follower:
+                    paths["already first"] += 1
+                elif follower in followers:
+                    paths["mid-list refresh" if follower != followers[-1] else "tail refresh"] += 1
+                else:
+                    paths["tail eviction" if len(followers) == fc else "added"] += 1
+            assert real.insert(leader, follower) == ref.insert(leader, follower)
+        assert snapshot(real) == ref.state()
+    return paths
+
+
 ops_strategy = st.lists(
     st.tuples(
         st.sampled_from(["query", "insert"]),
@@ -216,17 +243,40 @@ ops_strategy = st.lists(
 )
 @settings(max_examples=150, deadline=None)
 def test_lru_equivalence_with_reference(cfg, ops):
-    ll, fl, lc, fc = cfg
-    real = LruCacheTable(CacheTableConfig(ll, fl, lc, fc))
-    ref = RefLruTable(ll, fl, lc, fc)
-    for kind, a, b in ops:
-        leader = tuple(a + i for i in range(ll))
-        follower = tuple(b + i for i in range(fl))
-        if kind == "query":
-            assert list(real.query(leader)) == ref.query(leader)
-        else:
-            assert real.insert(leader, follower) == ref.insert(leader, follower)
-        assert snapshot(real) == ref.state()
+    check_against_reference(cfg, ops)
+
+
+long_list_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["query", "insert", "insert"]),
+        st.integers(0, 2),  # few leaders, so their follower lists fill up
+        st.integers(0, 11),  # a follower pool larger than any fc drawn
+    ),
+    min_size=30,
+    max_size=400,
+)
+
+
+@given(
+    cfg=st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 4), st.integers(1, 8)),
+    ops=long_list_ops,
+)
+@settings(max_examples=150, deadline=None)
+def test_lru_equivalence_with_reference_long_lists(cfg, ops):
+    check_against_reference(cfg, ops)
+
+
+def test_long_lists_reach_every_insert_path():
+    rng = random.Random(23)
+    paths: Counter = Counter()
+    for _ in range(100):
+        fc = rng.randint(2, 8)
+        ops = [
+            (rng.choice(["query", "insert", "insert"]), rng.randrange(4), rng.randrange(12))
+            for _ in range(200)
+        ]
+        paths += check_against_reference((1, 1, 3, fc), ops)
+    assert len(paths) == 5 and min(paths.values()) >= 100, paths
 
 
 @given(

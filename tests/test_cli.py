@@ -13,6 +13,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ngramspec import cli
 from ngramspec.cache_table import CacheTableConfig
@@ -64,6 +66,30 @@ class TestTokenize:
         assert vocab.encode("a b a") == [0, 1, 0]
         assert vocab.encode("b a b") == [1, 0, 1]
         assert vocab.encode("b c a d c") == [1, 2, 0, 3, 2]
+
+    @given(
+        docs=st.lists(
+            st.lists(st.tuples(st.sampled_from("abcdefghijkl"), st.sampled_from([" ", "\n", " \t "]))),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_shared_vocab_matches_a_first_seen_order_encoder(self, docs):
+        # Documents share one vocabulary, so a new word often comes after known
+        # ones, in the middle of a document, and repeats later in it.
+        texts = ["".join(f"{word}{gap}" for word, gap in doc) for doc in docs]
+        ids: dict[str, int] = {}  # the naive encoder: a word's id is its rank of first use
+        want = []
+        for text in texts:
+            want.append([])
+            for word in text.split():
+                if word not in ids:
+                    ids[word] = len(ids)
+                want[-1].append(ids[word])
+        vocab = Vocab()
+        assert [vocab.encode(text) for text in texts] == want
+        assert vocab.words() == list(ids)
+        assert [Vocab(list(ids)).encode(text) for text in texts] == want
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocab()

@@ -218,6 +218,22 @@ def test_build_matches_brute_force(seed):
             assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_build_leaves_every_follower_list_unchanged(seed):
+    # ``query`` hands the builder the table's own lists, so a build that
+    # mutated one would corrupt the table; only leader order may change.
+    rng = random.Random(4000 + seed)
+    drafted = 0
+    for _ in range(20):
+        ll, fl, lc, fc, tdl, crt, real, _, frozen, _, context, pending = random_setup(rng)
+        for wiring in (None, frozen) if frozen is not None else (None,):  # dynamic-only, dual
+            before = dict(snapshot(real))
+            tree = build_draft_tree(context, pending, real, wiring, DraftConfig(tdl, crt))
+            assert dict(snapshot(real)) == before
+            drafted += wiring is None and len(tree.nodes) > 0
+    assert drafted >= 5
+
+
 def clone_table(table: LruCacheTable, out=None):
     """``table``'s state inserted into ``out`` (by default a new table of its
     shape), least recent first, so that every recency is kept."""
