@@ -4,8 +4,8 @@ and the dual-table ablation.
 Benchmarks are model-free: a task document is split in half, the first half
 is the prompt, and a deterministic verifier produces the continuation (a
 replay oracle replays the second half; a k-gram verifier is trained on the
-full task documents).  State is reset between tasks, so every command is
-deterministic given its inputs.
+task's own document, as perfbench does).  State is reset between tasks, so
+every command is deterministic given its inputs.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from .frozen_table import FrozenTable, build_frozen, count_ngrams
 # Reserved end-of-sequence id (u32 max); neither tokenizer can produce it.
 EOS_TOKEN = 0xFFFF_FFFF
 
-MODES = ("dual", "dynamic", "frozen")
 TOKENIZERS = ("whitespace", "byte")
 
 
@@ -228,18 +227,15 @@ def run_bench(
     cfg: RunConfig,
     docs: Sequence[Sequence[int]],
     frozen: FrozenTable | None = None,
-    mode: str = "dual",
+    dynamic: bool = True,
 ) -> Report:
-    """Run every task document through the decode loop under one wiring:
-    one ``task`` row per document and an ``aggregate`` closing line.
-
-    mode selects the table wiring: "dual" (both tables), "dynamic" (no
-    frozen table), "frozen" (no dynamic table).  One state is reused;
-    ``run_decode`` starts each task from a fresh dynamic table.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown wiring mode {mode!r}")
-    if mode == "frozen" and frozen is None:
+    """Run every task document through the decode loop with the tables given
+    (``frozen`` if passed, a dynamic table if ``dynamic``): one ``task`` row
+    per document and an ``aggregate`` closing line.  The config's ``mode``
+    names that wiring: ``dual``, ``dynamic`` or ``frozen``.  As in perfbench,
+    each task's k-gram verifier is trained on its own document; ``run_decode``
+    starts each task from a fresh dynamic table."""
+    if frozen is None and not dynamic:
         raise ValueError("frozen-only wiring requires a frozen table")
     if frozen is not None and (frozen.config.ll, frozen.config.fl) != (cfg.ll, cfg.fl):
         raise ValueError(
@@ -250,17 +246,17 @@ def run_bench(
     if not docs:
         raise ValueError("no non-empty task documents")
 
-    shared = KGramVerifier(cfg.kgram_order, docs) if cfg.verifier == "kgram" else None
-    state = DecodeState(
-        cfg.draft_config(),
-        dynamic=None if mode == "frozen" else LruCacheTable(cfg.table_config()),
-        frozen=None if mode == "dynamic" else frozen,
-    )
+    mode = "dynamic" if frozen is None else "dual" if dynamic else "frozen"
+    dynamic_table = LruCacheTable(cfg.table_config()) if dynamic else None
+    state = DecodeState(cfg.draft_config(), dynamic=dynamic_table, frozen=frozen)
     rows = []
     for i, doc in enumerate(docs):
         cut = max(1, len(doc) // 2)  # prompt: the first half, at least one token
         prompt, target = doc[:cut], doc[cut:]
-        verifier = shared or ReplayOracle(len(prompt), target, EOS_TOKEN)
+        if cfg.verifier == "kgram":
+            verifier = KGramVerifier(cfg.kgram_order, [doc])
+        else:
+            verifier = ReplayOracle(len(prompt), target, EOS_TOKEN)
         t0 = time.perf_counter()
         _, metrics = run_decode(state, prompt, verifier, cfg.max_new_tokens)
         wall = time.perf_counter() - t0
@@ -393,11 +389,11 @@ def cmd_bench(
     table_path: str | Path | None = None,
     corpus_paths: Sequence[str | Path] | None = None,
 ) -> Report:
-    """Benchmark the decode loop over prompt documents (dual wiring; the
-    dynamic table alone when no frozen table is supplied)."""
+    """Benchmark the decode loop over prompt documents: dual wiring with the
+    frozen table from ``table_path`` or ``corpus_paths``, the dynamic table
+    alone with neither.  On perfbench's inputs the MAT is perfbench's."""
     docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths)
-    frozen = frozen_for(cfg.table_config())
-    return run_bench(cfg, docs, frozen, mode="dynamic" if frozen is None else "dual")
+    return run_bench(cfg, docs, frozen_for(cfg.table_config()))
 
 
 def cmd_sweep(
@@ -422,8 +418,7 @@ def cmd_sweep(
     docs, frozen_for = _load_inputs(cfg, prompt_paths, None, corpus_paths)
     rows = []
     for cell in cells:
-        frozen = frozen_for(cell.table_config())
-        mat = run_bench(cell, docs, frozen, mode="dual").closing["mat"]
+        mat = run_bench(cell, docs, frozen_for(cell.table_config())).closing["mat"]
         rows.append({"ll": cell.ll, "fl": cell.fl, "mat": mat})
     best = max(row["mat"] for row in rows)
     ll1_attains_max = any(row["ll"] == 1 and row["mat"] == best for row in rows)
@@ -445,10 +440,10 @@ def cmd_ablate(
     docs, frozen_for = _load_inputs(cfg, prompt_paths, table_path, corpus_paths)
     frozen = frozen_for(cfg.table_config())
     rows = []
-    for mode in MODES:
-        agg = run_bench(cfg, docs, frozen, mode=mode).closing
-        row = {key: agg[key] for key in ("steps", "emitted", "mat", "tokens_per_sec")}
-        rows.append({"wiring": mode, **row})
+    for table, dynamic in ((frozen, True), (None, True), (frozen, False)):
+        report = run_bench(cfg, docs, table, dynamic)
+        row = {key: report.closing[key] for key in ("steps", "emitted", "mat", "tokens_per_sec")}
+        rows.append({"wiring": report.config["mode"], **row})
     return Report(asdict(cfg), "wiring", rows)
 
 

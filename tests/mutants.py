@@ -1,0 +1,156 @@
+"""Mutation check: every mutant below must make the tier-1 suite fail.
+
+A mutant is a small deliberate bug, written as (name, file, exact old text,
+new text).  For each one the script copies the repository into a temporary
+directory, replaces the old text, which must occur exactly once in its file,
+and runs tier-1 there with ``-x``.  A mutant whose suite still passes
+survived: some behaviour has no test.  Run from the repository root:
+
+    python3 tests/mutants.py
+
+Before any mutant runs, every old text is checked and the unmutated suite is
+run once.  Exits 1 if an old text is not found exactly once, the unmutated
+suite fails, or a mutant survives.  Tier-1 does not collect this file.
+
+A surviving mutant asks for a test, not for the mutant's removal.  A change
+that moves a mutant's text updates the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+TIMEOUT_S = 600  # a suite that runs this long against a mutant counts as failing
+IGNORE = shutil.ignore_patterns(
+    ".git", ".bench_work", ".benchmarks", ".hypothesis", ".pytest_cache", "__pycache__"
+)
+
+DRAFT, LOOP = "src/ngramspec/draft_tree.py", "src/ngramspec/decode_loop.py"
+LRU, FROZEN = "src/ngramspec/cache_table.py", "src/ngramspec/frozen_table.py"
+CLI = "src/ngramspec/cli.py"
+
+MUTANTS = [
+    ("crt-reserve-ignored", DRAFT, "anchor_room = room - dcfg.crt", "anchor_room = room"),
+    ("chain-budget-ge", DRAFT, "if n > limit:", "if n >= limit:"),
+    ("phase-budget-lt", DRAFT, "while frontier and n <= room:", "while frontier and n < room:"),
+    ("lifo-frontier", DRAFT, "end = frontier.popleft()", "end = frontier.pop()"),
+    ("childless-leaves-dropped", DRAFT, "leaves.append(end)", "pass"),
+    (
+        "pending-zero-after-prompt",
+        LOOP,
+        "state.pending_len = min(1, len(prompt))",
+        "state.pending_len = 0",
+    ),
+    (
+        "eos-stop-removed",
+        LOOP,
+        "if expect == eos or len(committed) >= end:",
+        "if len(committed) >= end:",
+    ),
+    (
+        "follower-recency-not-refreshed",
+        LRU,
+        "if follower in followers:\n            followers.remove(follower)",
+        "if follower in followers:\n            return None",
+    ),
+    (
+        "leader-recency-not-refreshed",
+        LRU,
+        "self._entries.move_to_end(leader)\n        return followers",
+        "return followers",
+    ),
+    ("fill-cap-off-by-one", LRU, "elif len(followers) < fc:", "elif len(followers) <= fc:"),
+    (
+        "frozen-fc-off-by-one",
+        FROZEN,
+        "- starts[group] < tcfg.fc]",
+        "- starts[group] <= tcfg.fc]",
+    ),
+    (
+        "crossing-window-mask-short",
+        FROZEN,
+        "for back in range(1, width):",
+        "for back in range(1, width - 1):",
+    ),
+    ("prompt-split-moved", CLI, "cut = max(1, len(doc) // 2)", "cut = max(1, (len(doc) + 1) // 2)"),
+    ("aggregate-mat-miscounted", CLI, '"mat": emitted / steps,', '"mat": emitted / (steps + 1),'),
+    (
+        "shared-verifier-reinstated",
+        CLI,
+        "KGramVerifier(cfg.kgram_order, [doc])",
+        "KGramVerifier(cfg.kgram_order, docs)",
+    ),
+    (
+        "dual-dynamic-labels-swapped",
+        CLI,
+        'mode = "dynamic" if frozen is None else "dual" if dynamic',
+        'mode = "dual" if frozen is None else "dynamic" if dynamic',
+    ),
+]
+
+
+def misplaced() -> list[str]:
+    """One message per mutant whose old text does not occur exactly once."""
+    problems = []
+    for name, path, old, _ in MUTANTS:
+        found = (ROOT / path).read_text(encoding="utf-8").count(old)
+        if found != 1:
+            problems.append(f"{name}: old text occurs {found} times in {path}")
+    return problems
+
+
+def suite_passes(mutant: tuple[str, str, str, str] | None) -> bool:
+    """Run tier-1 with ``-x`` on a fresh copy of the repository, with the
+    mutant applied (``None``: unmutated); True if every test passed."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        if mutant is not None:
+            _, path, old, new = mutant
+            target = copy / path
+            text = target.read_text(encoding="utf-8")
+            target.write_text(text.replace(old, new), encoding="utf-8")
+        paths = ["src", *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        try:
+            done = subprocess.run(
+                [sys.executable, *TIER1], cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return False
+        return done.returncode == 0
+
+
+def main() -> int:
+    problems = misplaced()
+    if problems:
+        print("\n".join(problems), file=sys.stderr)
+        return 1
+    t0 = time.perf_counter()
+    if not suite_passes(None):
+        print("the unmutated suite fails: fix it before checking mutants", file=sys.stderr)
+        return 1
+    print(f"unmutated suite passes ({time.perf_counter() - t0:.1f}s)", flush=True)
+    survivors = []
+    for mutant in MUTANTS:
+        t1 = time.perf_counter()
+        survived = suite_passes(mutant)
+        if survived:
+            survivors.append(mutant[0])
+        verdict = "SURVIVED" if survived else "killed"
+        print(f"{verdict:<9}{mutant[0]} ({time.perf_counter() - t1:.1f}s)", flush=True)
+    total = time.perf_counter() - t0
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in {total:.0f}s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

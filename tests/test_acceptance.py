@@ -29,13 +29,17 @@ from oracles import (
 )
 
 # Pinned by the brute-force step simulator on the desk corpus
-# (ll=1 fl=3 lc=4096 fc=32 tdl=48 crt=8, kgram order 3, 200 new tokens/task).
+# (ll=1 fl=3 lc=4096 fc=32 tdl=48 crt=8, one order-3 k-gram verifier per
+# task, 200 new tokens/task).
 TREND_CONFIG = dict(ll=1, fl=3, lc=4096, fc=32, tdl=48, crt=8)
 TREND_PINNED = {
-    "dual": (123, 1200),
-    "dynamic": (181, 1200),
+    "dual": (75, 1200),
+    "dynamic": (125, 1200),
     "frozen": (702, 1200),
 }
+# The trend wirings: (report mode, drafts from the frozen table, drafts from
+# a dynamic table).  Both the engine and the simulator run from this table.
+TREND_WIRINGS = (("dual", True, True), ("dynamic", False, True), ("frozen", True, False))
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:
@@ -135,13 +139,9 @@ def test_step_bound():
             if not (1 <= step.emitted <= 1 + step.longest_branch or (step.longest_branch == 0 and step.emitted == 1)):
                 violations += 1
     # Include the trend corpus runs.
-    vocab = Vocab()
-    bg = [tokenize(t, "whitespace", vocab) for t in background_texts()]
-    ev = [tokenize(t, "whitespace", vocab) for t in eval_texts()]
-    cfg = RunConfig(**TREND_CONFIG, verifier="kgram", kgram_order=3, max_new_tokens=200)
-    frozen = build_frozen(count_ngrams(bg, cfg.table_config()), cfg.table_config())
-    for mode in ("dual", "dynamic", "frozen"):
-        report = run_bench(cfg, ev, frozen, mode=mode)
+    cfg, _, ev, frozen = _trend_inputs()
+    for _, use_frozen, dynamic in TREND_WIRINGS:
+        report = run_bench(cfg, ev, frozen if use_frozen else None, dynamic)
         for task in report.rows:
             for step in task["step_log"]:
                 steps_seen += 1
@@ -179,29 +179,34 @@ def test_budget_bound():
     _gate("budget-bound", violations == 0, f"{trees} trees, {violations} violations")
 
 
-def _trend_reports():
+def _trend_inputs():
+    """The trend run's config, background and eval token ids (one vocabulary,
+    the background first), and the frozen table built from the background."""
     vocab = Vocab()
     bg = [tokenize(t, "whitespace", vocab) for t in background_texts()]
     ev = [tokenize(t, "whitespace", vocab) for t in eval_texts()]
     cfg = RunConfig(**TREND_CONFIG, verifier="kgram", kgram_order=3, max_new_tokens=200)
     frozen = build_frozen(count_ngrams(bg, cfg.table_config()), cfg.table_config())
-    engine = {
-        mode: run_bench(cfg, ev, frozen, mode=mode).closing for mode in ("dual", "dynamic", "frozen")
-    }
+    return cfg, bg, ev, frozen
+
+
+def _trend_reports():
+    cfg, bg, ev, frozen = _trend_inputs()
     fmap = naive_frozen_map(bg, cfg.ll, cfg.fl, cfg.lc, cfg.fc)
-    verifier = KGramVerifier(3, ev)
-    simulated = {}
-    for mode, frozen_map, dyn in (
-        ("dual", fmap, True),
-        ("dynamic", None, True),
-        ("frozen", fmap, False),
-    ):
-        sim = SimDecoder(cfg.ll, cfg.fl, cfg.lc, cfg.fc, cfg.tdl, cfg.crt, frozen_map=frozen_map, dynamic_enabled=dyn)
+    engine, simulated = {}, {}
+    for mode, use_frozen, dynamic in TREND_WIRINGS:
+        report = run_bench(cfg, ev, frozen if use_frozen else None, dynamic)
+        assert report.config["mode"] == mode
+        engine[mode] = report.closing
+        sim = SimDecoder(
+            cfg.ll, cfg.fl, cfg.lc, cfg.fc, cfg.tdl, cfg.crt,
+            frozen_map=fmap if use_frozen else None, dynamic_enabled=dynamic,
+        )
         steps = emitted = 0
         for doc in ev:
             sim.reset()
             cut = max(1, len(doc) // 2)
-            _, s, e = sim.run(doc[:cut], verifier, cfg.max_new_tokens)
+            _, s, e = sim.run(doc[:cut], KGramVerifier(3, [doc]), cfg.max_new_tokens)
             steps += s
             emitted += e
         simulated[mode] = (steps, emitted)
@@ -215,7 +220,7 @@ def test_trend_dual_table_ordering():
     engine, simulated = _trend_reports()
     ok = True
     details = []
-    for mode in ("dual", "dynamic", "frozen"):
+    for mode, _, _ in TREND_WIRINGS:
         got = (engine[mode]["steps"], engine[mode]["emitted"])
         ok = ok and got == TREND_PINNED[mode] == simulated[mode]
         details.append(f"{mode}: mat={engine[mode]['mat']:.4f} steps/tokens={got}")

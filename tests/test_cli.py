@@ -507,20 +507,33 @@ class TestRunConfig:
 
 
 class TestRunBenchWiring:
-    @pytest.mark.parametrize("mode", ["dual", "frozen"])
-    def test_table_of_another_shape_rejected(self, mode):
+    @pytest.mark.parametrize("dynamic", [True, False], ids=["dual", "frozen"])
+    def test_table_of_another_shape_rejected(self, dynamic):
         tcfg = CacheTableConfig(1, 2, 64, 8)
         frozen = build_frozen(count_ngrams([[1, 2, 3, 1, 2, 3]], tcfg), tcfg)
         with pytest.raises(ValueError, match="table shape"):
-            run_bench(RunConfig(ll=1, fl=3, max_new_tokens=5), [[1, 2, 3, 4]], frozen, mode=mode)
+            run_bench(RunConfig(ll=1, fl=3, max_new_tokens=5), [[1, 2, 3, 4]], frozen, dynamic)
 
     def test_frozen_mode_without_table_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]], None, mode="frozen")
+        with pytest.raises(ValueError, match="requires a frozen table"):
+            run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]], None, dynamic=False)
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]], None, mode="both")
+    def test_no_frozen_table_is_reported_as_dynamic(self):
+        report = run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4, 1, 2, 3, 4]])
+        assert report.config["mode"] == "dynamic"
+        assert report.render("text").splitlines()[-1].startswith("# mode=dynamic ")
+
+    def test_a_frozen_table_passed_is_always_drafted_from(self):
+        # No token repeats, so only a table built from the document drafts.
+        doc = list(range(40))
+        cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, verifier="replay", max_new_tokens=20)
+        frozen = build_frozen(count_ngrams([doc], cfg.table_config()), cfg.table_config())
+        for dynamic, mode in ((True, "dual"), (False, "frozen")):
+            report = run_bench(cfg, [doc], frozen, dynamic)
+            assert report.config["mode"] == mode
+            assert report.closing["mat"] > 1.0
+        alone = run_bench(cfg, [doc])
+        assert alone.config["mode"] == "dynamic" and alone.closing["mat"] == 1.0
 
 
 class TestMain:

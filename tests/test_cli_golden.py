@@ -2,7 +2,8 @@
 
 A fixed-step clock stands in for ``time.perf_counter``, so ``wall_s`` and
 tokens/s are reproducible.  The expected files are in ``tests/golden``; the
-step counts of the bench golden are re-derived by the reference simulator.
+step counts of the bench and ablate goldens are re-derived by the reference
+simulator.
 """
 
 from __future__ import annotations
@@ -58,19 +59,44 @@ def test_rendering_matches_golden(command, fmt, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
-def test_bench_golden_steps_match_the_simulator():
-    """The golden bench inputs replayed through ``SimDecoder``: each task row's
-    steps, emitted tokens and per-step emitted counts are the simulator's."""
+def simulate(frozen: bool, dynamic: bool):
+    """The golden inputs replayed through ``SimDecoder`` under one wiring, with
+    one order-3 k-gram verifier per task: yields each task's steps, emitted
+    tokens and per-step emitted counts."""
     ids: dict[str, int] = {}  # one vocabulary that numbers the corpus first
     corpus = [[ids.setdefault(w, len(ids)) for w in text.split()] for text in background_texts(10)]
     docs = [[ids.setdefault(w, len(ids)) for w in text.split()] for text in eval_texts(2)]
-    sim = SimDecoder(1, 3, 256, 16, 24, 4, frozen_map=naive_frozen_map(corpus, 1, 3, 256, 16))
-    verifier = KGramVerifier(3, docs)
-    lines = (GOLDEN / "bench_json.txt").read_text(encoding="utf-8").splitlines()
-    tasks = [row for row in map(json.loads, lines) if row["kind"] == "task"]
-    assert len(tasks) == len(docs)
-    for row, doc in zip(tasks, docs):
+    frozen_map = naive_frozen_map(corpus, 1, 3, 256, 16) if frozen else None
+    sim = SimDecoder(1, 3, 256, 16, 24, 4, frozen_map=frozen_map, dynamic_enabled=dynamic)
+    for doc in docs:
         sim.reset()
-        _, steps, emitted = sim.run(doc[: max(1, len(doc) // 2)], verifier, 30)
+        _, steps, emitted = sim.run(doc[: max(1, len(doc) // 2)], KGramVerifier(3, [doc]), 30)
+        yield steps, emitted, sim.step_emitted
+
+
+def golden_rows(name: str, kind: str) -> list[dict]:
+    lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    return [row for row in map(json.loads, lines) if row["kind"] == kind]
+
+
+def test_bench_golden_steps_match_the_simulator():
+    """Each task row's steps, emitted tokens and per-step emitted counts in
+    the bench golden (dual wiring) are the simulator's."""
+    tasks = golden_rows("bench_json.txt", "task")
+    simulated = list(simulate(frozen=True, dynamic=True))
+    assert len(tasks) == len(simulated) == 2
+    for row, (steps, emitted, step_emitted) in zip(tasks, simulated):
         assert (row["steps"], row["emitted"]) == (steps, emitted)
-        assert [step["emitted"] for step in row["step_log"]] == sim.step_emitted
+        assert [step["emitted"] for step in row["step_log"]] == step_emitted
+
+
+def test_ablate_golden_steps_match_the_simulator():
+    """Each wiring row of the ablate golden totals the simulator's steps and
+    emitted tokens under that wiring."""
+    rows = golden_rows("ablate_json.txt", "wiring")
+    wirings = {"dual": (True, True), "dynamic": (False, True), "frozen": (True, False)}
+    assert [row["wiring"] for row in rows] == list(wirings)
+    for row in rows:
+        simulated = list(simulate(*wirings[row["wiring"]]))
+        totals = (sum(s for s, _, _ in simulated), sum(e for _, e, _ in simulated))
+        assert (row["steps"], row["emitted"]) == totals
