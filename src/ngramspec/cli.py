@@ -155,12 +155,14 @@ class RunConfig:
 
 @dataclass
 class Report:
-    """One command's results: the effective config, rows of one ``kind``
-    (``task``, ``cell`` or ``wiring``) keyed by their JSON/CSV names, and an
-    optional closing JSON line (``aggregate`` or ``summary``).
+    """One command's results: the effective config, rows keyed by their
+    JSON/CSV names, and an optional closing line (``aggregate`` or
+    ``summary``).  ``kind`` (``task``, ``cell`` or ``wiring``) tags the JSON rows.
 
-    JSON and CSV render every report alike; only the text layout depends on
-    the row kind.
+    Every format renders the same report.  CSV and text share one table: a
+    column per scalar row key, plus an ``AGGREGATE`` row when the closing line
+    is an aggregate.  Text aligns that table's cells between the config line
+    and the closing line's JSON object.
     """
 
     config: dict
@@ -169,58 +171,34 @@ class Report:
     closing: dict | None = None
 
     def render(self, fmt: str) -> str:
-        if fmt == "text":
-            config_line = f"# config: {json.dumps(self.config, sort_keys=True)}"
-            return "\n".join([config_line, *_TEXT_LAYOUTS[self.kind](self)])
         if fmt == "json":
             lines = [{"kind": "config", **self.config}]
             lines += [{"kind": self.kind, **row} for row in self.rows]
             lines += [self.closing] if self.closing else []
-            # Dataclass values (a task's StepMetrics) render as their fields.
-            return "\n".join(json.dumps(line, sort_keys=True, default=asdict) for line in lines)
+            return "\n".join(map(_json, lines))
+        if fmt not in ("text", "csv"):
+            raise ValueError(f"unknown format {fmt!r}")
+        columns = [key for key, value in self.rows[0].items() if not isinstance(value, list)]
+        rows = list(self.rows)
+        if self.closing and self.closing["kind"] == "aggregate":
+            rows.append({**self.closing, columns[0]: "AGGREGATE"})
+        table = [columns, *([_cell(row[key]) for key in columns] for row in rows)]
         if fmt == "csv":
-            # Every non-list key is a column; an aggregate closes the table.
-            columns = [key for key, value in self.rows[0].items() if not isinstance(value, list)]
-            rows = list(self.rows)
-            if self.closing and self.closing["kind"] == "aggregate":
-                rows.append({**self.closing, columns[0]: "AGGREGATE"})
-            lines = [",".join(columns)]
-            lines += [",".join(_csv_cell(row[key]) for key in columns) for row in rows]
-            return "\n".join(lines)
-        raise ValueError(f"unknown format {fmt!r}")
+            return "\n".join(map(",".join, table))
+        widths = [max(map(len, column)) for column in zip(*table)]
+        lines = [f"# config: {json.dumps(self.config, sort_keys=True)}"]
+        lines += ["  ".join(map(str.rjust, row, widths)) for row in table]
+        lines += [f"# {_json(self.closing)}"] if self.closing else []
+        return "\n".join(lines)
 
 
-def _csv_cell(value: object) -> str:
+def _json(line: dict) -> str:
+    # Dataclass values (a task's StepMetrics) render as their fields.
+    return json.dumps(line, sort_keys=True, default=asdict)
+
+
+def _cell(value: object) -> str:
     return f"{value:.6f}" if isinstance(value, float) else str(value)
-
-
-def _bench_text(report: Report) -> list[str]:
-    agg = report.closing
-    lines = [f"{'task':<24}{'steps':>8}{'tokens':>8}{'mat':>8}{'wall_s':>10}"]
-    for row in [*report.rows, {**agg, "task": "aggregate"}]:
-        lines.append(
-            f"{row['task']:<24}{row['steps']:>8}{row['emitted']:>8}{row['mat']:>8.3f}"
-            f"{row['wall_s']:>10.4f}"
-        )
-    lines.append(f"# mode={report.config['mode']} tokens_per_sec={agg['tokens_per_sec']:.1f}")
-    return lines
-
-
-def _sweep_text(report: Report) -> list[str]:
-    return [report.render("csv"), f"# ll=1 attains grid max: {report.closing['ll1_attains_max']}"]
-
-
-def _ablate_text(report: Report) -> list[str]:
-    lines = [f"{'wiring':<16}{'steps':>8}{'tokens':>8}{'mat':>8}{'tok/s':>10}"]
-    for row in report.rows:
-        lines.append(
-            f"{row['wiring']:<16}{row['steps']:>8}{row['emitted']:>8}{row['mat']:>8.3f}"
-            f"{row['tokens_per_sec']:>10.1f}"
-        )
-    return lines
-
-
-_TEXT_LAYOUTS = {"task": _bench_text, "cell": _sweep_text, "wiring": _ablate_text}
 
 
 def run_bench(

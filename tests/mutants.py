@@ -42,6 +42,12 @@ MUTANTS = [
     ("chain-budget-ge", DRAFT, "if n > limit:", "if n >= limit:"),
     ("phase-budget-lt", DRAFT, "while frontier and n <= room:", "while frontier and n < room:"),
     ("lifo-frontier", DRAFT, "end = frontier.popleft()", "end = frontier.pop()"),
+    (
+        "followers-drafted-sorted",
+        DRAFT,
+        "for follower in lookup(leader):",
+        "for follower in sorted(lookup(leader)):",
+    ),
     ("childless-leaves-dropped", DRAFT, "leaves.append(end)", "pass"),
     (
         "pending-zero-after-prompt",
@@ -69,16 +75,34 @@ MUTANTS = [
     ),
     ("fill-cap-off-by-one", LRU, "elif len(followers) < fc:", "elif len(followers) <= fc:"),
     (
+        "tail-cut-at-four",
+        LRU,
+        "if len(followers) > self._fc else None",
+        "if len(followers) > min(self._fc, 4) else None",
+    ),
+    (
         "frozen-fc-off-by-one",
         FROZEN,
         "- starts[group] < tcfg.fc]",
         "- starts[group] <= tcfg.fc]",
     ),
     (
+        "sort-key-int32",
+        FROZEN,
+        "np.multiply(group, counts.max() + 1, dtype=np.int64)",
+        "np.multiply(group, counts.max() + 1, dtype=np.int32)",
+    ),
+    (
         "crossing-window-mask-short",
         FROZEN,
         "for back in range(1, width):",
         "for back in range(1, width - 1):",
+    ),
+    (
+        "new-words-numbered-sorted",
+        CLI,
+        "for word in words:\n                if word not in ids:",
+        "for word in sorted(words):\n                if word not in ids:",
     ),
     ("prompt-split-moved", CLI, "cut = max(1, len(doc) // 2)", "cut = max(1, (len(doc) + 1) // 2)"),
     ("aggregate-mat-miscounted", CLI, '"mat": emitted / steps,', '"mat": emitted / (steps + 1),'),
@@ -93,6 +117,24 @@ MUTANTS = [
         CLI,
         'mode = "dynamic" if frozen is None else "dual" if dynamic',
         'mode = "dual" if frozen is None else "dynamic" if dynamic',
+    ),
+    (
+        "text-cells-formatted-apart",
+        CLI,
+        "[_cell(row[key]) for key in columns]",
+        '[(_cell if fmt == "csv" else str)(row[key]) for key in columns]',
+    ),
+    (
+        "text-aggregate-row-dropped",
+        CLI,
+        'if self.closing and self.closing["kind"] == "aggregate":',
+        'if fmt == "csv" and self.closing and self.closing["kind"] == "aggregate":',
+    ),
+    (
+        "text-closing-line-dropped",
+        CLI,
+        'lines += [f"# {_json(self.closing)}"] if self.closing else []',
+        "lines += []",
     ),
 ]
 

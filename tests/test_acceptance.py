@@ -231,18 +231,15 @@ def test_trend_dual_table_ordering():
     _gate("trend-dual-table-ordering", ok, "; ".join(details) + f"; {elapsed:.1f}s")
 
 
-def test_sweep_grid_reported():
+def test_sweep_grid_reported(tmp_path):
     """Exploratory ll x fl sweep on the desk corpus; grid emitted in full and
     the ll=1 question reported (not gated)."""
     from ngramspec.cli import cmd_sweep
-    import tempfile
-    from pathlib import Path
 
-    tmp = Path(tempfile.mkdtemp())
-    (tmp / "bg.txt").write_text("\n".join(background_texts()), encoding="utf-8")
-    (tmp / "ev.txt").write_text("\n".join(eval_texts()), encoding="utf-8")
+    (tmp_path / "bg.txt").write_text("\n".join(background_texts()), encoding="utf-8")
+    (tmp_path / "ev.txt").write_text("\n".join(eval_texts()), encoding="utf-8")
     cfg = RunConfig(**{**TREND_CONFIG, "ll": 1, "fl": 1}, verifier="kgram", kgram_order=3, max_new_tokens=200)
-    report = cmd_sweep(cfg, [1, 2, 3], [1, 2, 3, 4, 5], [tmp / "ev.txt"], corpus_paths=[tmp / "bg.txt"])
+    report = cmd_sweep(cfg, [1, 2, 3], [1, 2, 3, 4, 5], [tmp_path / "ev.txt"], corpus_paths=[tmp_path / "bg.txt"])
     print(report.render("csv"))
     print(f"REPORT: ll=1 attains grid max: {report.closing['ll1_attains_max']}")
     cells = {(r["ll"], r["fl"]) for r in report.rows}

@@ -349,10 +349,8 @@ class TestBench:
         for extra, mode in (([], "dynamic"), (["--corpus", str(corpus)], "dual")):
             assert main([*run, *extra]) == 0
             lines = capsys.readouterr().out.splitlines()
-            if fmt == "json":
-                assert json.loads(lines[0])["mode"] == mode
-            else:
-                assert lines[-1].startswith(f"# mode={mode} ")
+            config = lines[0] if fmt == "json" else lines[0].removeprefix("# config: ")
+            assert json.loads(config)["mode"] == mode
 
 
 class TestSweep:
@@ -521,7 +519,8 @@ class TestRunBenchWiring:
     def test_no_frozen_table_is_reported_as_dynamic(self):
         report = run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4, 1, 2, 3, 4]])
         assert report.config["mode"] == "dynamic"
-        assert report.render("text").splitlines()[-1].startswith("# mode=dynamic ")
+        config = report.render("text").splitlines()[0].removeprefix("# config: ")
+        assert json.loads(config)["mode"] == "dynamic"
 
     def test_a_frozen_table_passed_is_always_drafted_from(self):
         # No token repeats, so only a table built from the document drafts.

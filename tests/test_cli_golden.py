@@ -59,6 +59,32 @@ def test_rendering_matches_golden(command, fmt, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == expected
 
 
+def rendered(command: str, fmt: str, tmp_path: Path, monkeypatch, capsys) -> list[str]:
+    """The lines ``command`` prints in ``fmt`` on the golden inputs."""
+    monkeypatch.setattr(time, "perf_counter", fake_clock())
+    assert main(argv(command, fmt, tmp_path)) == 0
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_text_table_is_the_csv_table(command, tmp_path, monkeypatch, capsys):
+    """Row by row, the text table's cells split on whitespace are the CSV's
+    cells split on commas: same columns, same rows, same precision."""
+    text = rendered(command, "text", tmp_path, monkeypatch, capsys)
+    csv = rendered(command, "csv", tmp_path, monkeypatch, capsys)
+    assert text[0].startswith("# config: ")
+    table = [line for line in text[1:] if not line.startswith("#")]
+    assert [line.split() for line in table] == [line.split(",") for line in csv]
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+def test_text_closes_with_the_json_closing_line(command, tmp_path, monkeypatch, capsys):
+    text = rendered(command, "text", tmp_path, monkeypatch, capsys)
+    lines = rendered(command, "json", tmp_path, monkeypatch, capsys)
+    assert json.loads(lines[-1])["kind"] in ("aggregate", "summary")
+    assert text[-1] == "# " + lines[-1]
+
+
 def simulate(frozen: bool, dynamic: bool):
     """The golden inputs replayed through ``SimDecoder`` under one wiring, with
     one order-3 k-gram verifier per task: yields each task's steps, emitted
