@@ -151,20 +151,21 @@ class LruCacheTable:
         last window: backwards, the first ``fc`` distinct followers met, and
         the leaders in reverse order of first meeting.  Past ``lc`` leaders,
         an evicted leader could return with fewer followers.  A new leader
-        starts with the follower of its newest window.
+        starts with the follower of its newest window.  Column ``k`` holds
+        token ``k`` of every window, newest first, and zipping the columns
+        makes each window's leader and follower without a slice per window.
         """
         ll, width, lc, fc = self._ll, self._ll + self._fl, self._lc, self._fc
+        last = max(0, len(src) - width + 1)  # the number of windows
+        cols = [reversed(src[k : k + last]) for k in range(width)]
         seen: dict[Leader, list[Follower]] = {}
-        for i in range(len(src) - width, -1, -1):
-            leader = src[i : i + ll]
+        for leader, follower in zip(zip(*cols[:ll]), zip(*cols[ll:])):
             followers = seen.get(leader)
             if followers is None:
                 if len(seen) == lc:
                     return False
-                seen[leader] = [src[i + ll : i + width]]
-            elif len(followers) < fc:
-                follower = src[i + ll : i + width]
-                if follower not in followers:
-                    followers.append(follower)
+                seen[leader] = [follower]
+            elif len(followers) < fc and follower not in followers:
+                followers.append(follower)
         self._entries = OrderedDict(reversed(seen.items()))
         return True

@@ -95,7 +95,7 @@ class KGramVerifier:
         return self._fallback if hit is None else hit
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepMetrics:
     """One decoding step: nodes drafted, draft tokens accepted, tokens
     emitted (accepted + bonus, ending at EOS or the token cap), and the step
@@ -159,11 +159,11 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier, limit: int
     """Greedy acceptance walk over a drafted tree, chain by chain.
 
     From the anchor, append the verifier's greedy next token to ``committed``,
-    look up the chain it heads in the current chain end's map (``tree.child``),
-    and match the next greedy tokens against that chain's remaining tokens,
-    until a token matches no chain.  This leaves the accepted path and then
-    the bonus token appended, and what was appended stays if ``greedy_next``
-    raises partway.  The walk also ends after a matched token that is EOS or
+    look up the index of the chain it heads in the current chain's map
+    (``tree.child``; an absent or empty map is no hit), and match the next
+    greedy tokens against that chain's remaining tokens, until a token
+    matches no chain.  This leaves the accepted path and then the bonus token
+    appended, and what was appended stays if ``greedy_next`` raises partway.  The walk also ends after a matched token that is EOS or
     that makes ``limit`` appended tokens, so it appends exactly what the step
     emits: one call per emitted token.  Returns the number of accepted
     nodes.
@@ -176,11 +176,11 @@ def accept(tree: DraftTree, committed: list[int], verifier: Verifier, limit: int
         token = next(rest, None)  # the current chain's next token; None at its end
         if token is None:
             kids = tree.child.get(at)
-            hit = kids and kids.get(expect)
+            hit = kids.get(expect) if kids else None
             if hit is None:
                 return accepted
-            at, follower = hit
-            rest = iter(follower[1:])
+            at = hit
+            rest = iter(tree.nodes.chains[hit][2][1:])
         elif token != expect:
             return accepted
         accepted += 1
@@ -228,12 +228,7 @@ def decode_step(state: DecodeState, verifier: Verifier, limit: int) -> StepMetri
     state.pending_len = len(state.committed) - start
     update_tables(state, start)
 
-    return StepMetrics(
-        drafted=len(tree.nodes),
-        accepted=accepted,
-        emitted=state.pending_len,
-        longest_branch=tree.max_depth,
-    )
+    return StepMetrics(len(tree.nodes), accepted, state.pending_len, tree.max_depth)
 
 
 def run_decode(

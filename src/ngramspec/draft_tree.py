@@ -7,9 +7,10 @@ chain of ``fl`` nodes below the anchor or a chain end, and the builder
 records chains, not nodes.  A batched model pass would score ``pending ++
 nodes`` at once under an ancestor mask built from the chains.  A follower
 whose first token an earlier sibling chain carries could never be accepted
-(the walk descends into one child per token), so it is not drafted.  The
-frontier queues bare chain ends, which read their depth and leader back from
-the chain records.
+(the walk descends into one child per token), so it is not drafted.  Chains
+are numbered in the order they hang, and the chain list itself is the
+breadth-first frontier: a chain reads its depth and leader back from the
+chain records when its turn comes.
 
 Construction is a breadth-first expansion, one phase per table present: the
 dynamic (recency) table grows the tree first, then the frozen
@@ -19,8 +20,8 @@ budget allows.  An absent table is ``None``, and its phase is skipped.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, count
 from typing import Iterator, NamedTuple, Sequence
 
 from .cache_table import Follower, LruCacheTable, check_int
@@ -55,13 +56,14 @@ class DraftNode(NamedTuple):
     depth: int
 
 
-Chain = tuple[int | None, int, Follower]  # (parent chain end, its depth, follower)
-ChildIndex = dict[int | None, dict[int, tuple[int, Follower]]]
+Chain = tuple[int | None, int, Follower]  # (parent chain, its end's depth, follower)
+ChildIndex = dict[int | None, dict[int, int]]
 
 
 class ChainNodes:
     """Sized, iterable view of the nodes of chains of ``fl`` tokens: chain
-    ``c``'s ``k``-th token is node ``c * fl + k``."""
+    ``c``'s ``k``-th token is node ``c * fl + k``, and a chain's first token
+    hangs below its parent chain's last node."""
 
     __slots__ = ("chains", "fl")
 
@@ -74,21 +76,23 @@ class ChainNodes:
     def __iter__(self) -> Iterator[DraftNode]:
         new, fl = tuple.__new__, self.fl  # skips the NamedTuple's Python-level __new__
         for c, (parent, depth, follower) in enumerate(self.chains):
+            up = None if parent is None else parent * fl + fl - 1
             for k, token in enumerate(follower):
-                yield new(DraftNode, (token, c * fl + k - 1 if k else parent, depth + k + 1))
+                yield new(DraftNode, (token, c * fl + k - 1 if k else up, depth + k + 1))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class DraftTree:
     """Draft nodes in insertion order plus the pending (non-verified) chain.
 
     Invariant: ``len(pending) + len(nodes) <= tdl`` for every built tree, and
     parents precede children.  ``build_draft_tree`` records chains, viewed as
-    ``nodes`` by ``ChainNodes``; ``child`` maps a chain end (``None``: the
-    anchor) to ``{first token: (chain end, follower)}`` of the chains hung
-    below it, the ones the acceptance walk can descend into; no map is empty.
-    ``max_depth`` is the deepest branch's length.  A tree given only its
-    nodes has an empty index and depth 0, so the walk takes none of them.
+    ``nodes`` by ``ChainNodes``; ``child`` maps a chain's index into
+    ``nodes.chains`` (``None``: the anchor) to ``{first token: chain index}``
+    of the chains hung below it, the ones the acceptance walk can descend
+    into; no map is empty.  ``max_depth`` is the deepest branch's length.  A
+    tree given only its nodes has an empty index and depth 0, so the walk
+    takes none of them.
     Trees compare by identity; compare ``list(tree.nodes)`` to compare their
     nodes.
     """
@@ -110,18 +114,19 @@ def build_draft_tree(
 
     ``context`` is the full committed sequence with the pending tokens at its
     tail.  Each table present (dynamic, then frozen; ``None`` is absent) runs
-    one phase of FIFO breadth-first expansion: pop a chain end, form the
-    leader from the last ``ll`` tokens of (context ++ path), and hang each
-    returned follower as a chain, feeding new chain ends back into the
-    frontier.  The first phase starts at the anchor; each later phase starts
-    from the chain ends (and the anchor) that the phase before it left
-    childless.  The tables present must agree on ``ll`` and ``fl``.
+    one phase of FIFO breadth-first expansion: pop a chain, form the leader
+    from the last ``ll`` tokens of (context ++ path), and hang each returned
+    follower as a new chain, which the frontier pops in turn.  The first
+    phase starts at the anchor; each later phase first pops the chains (and
+    the anchor) that the phase before it left childless, then its own chains
+    in the order they hang.  The tables present must agree on ``ll`` and
+    ``fl``.
 
     Budget: pending + nodes never exceed ``tdl``; chains hanging directly off
     the anchor are additionally capped at ``tdl - crt`` so deeper levels keep
     a reserve.  A chain is added only if all ``fl`` tokens fit.  A follower
-    whose first token an earlier follower of the same popped node has hung is
-    skipped (no budget, no frontier entry), so no two siblings share a token.
+    whose first token an earlier follower of the same popped chain has hung
+    is skipped (no budget, no chain), so no two siblings share a token.
 
     A context shorter than ``ll`` cannot be queried and yields an empty tree.
     """
@@ -142,50 +147,53 @@ def build_draft_tree(
     if len(context) < ll:
         return tree
 
-    # A chain of fl tokens fits while n (== len(nodes)) is at most ``room``;
-    # chains off the anchor also keep the crt reserve free.
-    room = dcfg.tdl - pending_len - fl
-    anchor_room = room - dcfg.crt
+    # A chain fits while the chains before it number at most ``room``: it
+    # leaves a whole chain of budget.  Chains off the anchor also keep the crt
+    # reserve free.
+    spare = dcfg.tdl - pending_len - fl  # nodes that may precede a chain
+    room, anchor_room = spare // fl, (spare - dcfg.crt) // fl
     anchor = tuple(context[-ll:])
-    n = 0
-    # The frontier holds chain ends; None is the anchor.
+    c = max_depth = 0  # c counts the chains hung so far
+    # Frontier entries are chain indices; None is the anchor.
     leaves: list[int | None] = [None]
     for table in tables:
-        # A phase pops every chain end unless the budget runs out first, so the
-        # childless ends it collects, in node order, are the next phase's leaves.
-        frontier, leaves, lookup = deque(leaves), [], table.query
-        while frontier and n <= room:
-            end = frontier.popleft()
-            if end is None:
+        # A phase pops its leaves, then every chain from its first on, unless
+        # the budget runs out first, so the childless chains it collects, in
+        # chain order, are the next phase's leaves.
+        frontier, leaves, lookup = chain(leaves, count(c)), [], table.query
+        for at in frontier:
+            if c > room or at == c:
+                break  # out of budget, or every chain this phase hung is popped
+            if at is None:
                 leader, depth, limit = anchor, 0, anchor_room
             else:
-                parent, depth, leader = chains[end // fl]
+                parent, depth, leader = chains[at]
                 depth += fl
                 limit = room
                 while len(leader) < ll:  # the leader reaches above this chain
                     if parent is None:
                         leader = anchor + leader
                         break
-                    parent, _, follower = chains[parent // fl]
+                    parent, _, follower = chains[parent]
                     leader = follower + leader
                 leader = leader[-ll:]
-            # A chain end is popped only while childless, so ``kids`` holds
+            # A chain is popped only while childless, so ``kids`` holds
             # exactly the siblings hung by this pop.
-            kids: dict[int, tuple[int, Follower]] = {}
+            kids: dict[int, int] = {}
             for follower in lookup(leader):
-                if n > limit:
+                if c > limit:
                     break  # every chain is fl tokens; none of the rest fit
                 first = follower[0]
                 if first in kids:
                     continue  # the walk would take the earlier sibling
-                n += fl
-                chains.append((end, depth, follower))
-                kids[first] = (n - 1, follower)
-                frontier.append(n - 1)
+                kids[first] = c
+                c += 1
+                chains.append((at, depth, follower))
             if kids:
-                child[end] = kids
-                if depth + fl > tree.max_depth:
-                    tree.max_depth = depth + fl  # where the chains just hung end
+                child[at] = kids
+                if depth + fl > max_depth:
+                    max_depth = depth + fl  # where the chains just hung end
             else:
-                leaves.append(end)
+                leaves.append(at)
+    tree.max_depth = max_depth
     return tree

@@ -38,22 +38,48 @@ LRU, FROZEN = "src/ngramspec/cache_table.py", "src/ngramspec/frozen_table.py"
 CLI = "src/ngramspec/cli.py"
 
 MUTANTS = [
-    ("crt-reserve-ignored", DRAFT, "anchor_room = room - dcfg.crt", "anchor_room = room"),
-    ("chain-budget-ge", DRAFT, "if n > limit:", "if n >= limit:"),
-    ("phase-budget-lt", DRAFT, "while frontier and n <= room:", "while frontier and n < room:"),
-    ("lifo-frontier", DRAFT, "end = frontier.popleft()", "end = frontier.pop()"),
+    ("crt-reserve-ignored", DRAFT, "(spare - dcfg.crt) // fl", "spare // fl"),
+    ("chain-budget-ge", DRAFT, "if c > limit:", "if c >= limit:"),
+    ("phase-budget-lt", DRAFT, "if c > room or at == c:", "if c >= room or at == c:"),
+    ("lifo-frontier", DRAFT, "chain(leaves, count(c))", "chain(leaves[::-1], count(c))"),
+    ("frontier-from-chain-zero", DRAFT, "chain(leaves, count(c))", "chain(leaves, count(0))"),
+    (
+        "later-phase-leaves-skipped",
+        DRAFT,
+        "chain(leaves, count(c))",
+        "chain(leaves if table is tables[0] else [], count(c))",
+    ),
+    ("node-view-parent-head", DRAFT, "parent * fl + fl - 1", "parent * fl"),
     (
         "followers-drafted-sorted",
         DRAFT,
         "for follower in lookup(leader):",
         "for follower in sorted(lookup(leader)):",
     ),
-    ("childless-leaves-dropped", DRAFT, "leaves.append(end)", "pass"),
+    ("childless-leaves-dropped", DRAFT, "leaves.append(at)", "pass"),
     (
         "pending-zero-after-prompt",
         LOOP,
         "state.pending_len = min(1, len(prompt))",
         "state.pending_len = 0",
+    ),
+    (
+        "walk-reads-previous-chain",
+        LOOP,
+        "tree.nodes.chains[hit][2][1:]",
+        "tree.nodes.chains[hit - 1][2][1:]",
+    ),
+    (
+        "empty-map-taken-as-hit",
+        LOOP,
+        "hit = kids.get(expect) if kids else None",
+        "hit = kids and kids.get(expect)",
+    ),
+    (
+        "step-metrics-drafted-depth-swapped",
+        LOOP,
+        "StepMetrics(len(tree.nodes), accepted, state.pending_len, tree.max_depth)",
+        "StepMetrics(tree.max_depth, accepted, state.pending_len, len(tree.nodes))",
     ),
     (
         "eos-stop-removed",
@@ -73,7 +99,19 @@ MUTANTS = [
         "self._entries.move_to_end(leader)\n        return followers",
         "return followers",
     ),
-    ("fill-cap-off-by-one", LRU, "elif len(followers) < fc:", "elif len(followers) <= fc:"),
+    (
+        "fill-cap-off-by-one",
+        LRU,
+        "elif len(followers) < fc and follower not in followers:",
+        "elif len(followers) <= fc and follower not in followers:",
+    ),
+    (
+        "fill-followers-one-late",
+        LRU,
+        "for k in range(width)]",
+        "for k in [*range(ll), *range(ll + 1, width + 1)]]",
+    ),
+    ("fill-walks-oldest-first", LRU, "reversed(src[k : k + last])", "iter(src[k : k + last])"),
     (
         "tail-cut-at-four",
         LRU,

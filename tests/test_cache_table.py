@@ -201,6 +201,43 @@ def test_insert_windows_matches_reference(seed):
     assert runs["fill_evicts"] >= 5 and runs["many_leaders"] >= 5 and runs["start"] >= 5, runs
 
 
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.integers(2000, 3000),
+    alphabet=st.integers(1, 256),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    fc=st.integers(1, 128),
+    lc_shift=st.integers(-3, 3),
+)
+@settings(max_examples=50, deadline=None)
+def test_seeding_a_long_prompt_matches_reference(seed, size, alphabet, shape, fc, lc_shift):
+    """Seeding an empty table from a prompt of thousands of tokens leaves it
+    as one ``RefLruTable.insert`` per window would, both when ``lc`` holds
+    every distinct leader (the one-pass fill) and when it does not (the
+    per-window fallback)."""
+    rng = random.Random(seed)
+    tokens: list[int] = []
+    while len(tokens) < size:
+        if tokens and rng.random() < 0.5:  # repeat an earlier stretch, as looping text does
+            at = rng.randrange(len(tokens))
+            tokens += tokens[at : at + rng.randint(1, 40)]
+        else:
+            tokens.append(rng.randrange(alphabet))
+    (ll, fl), width = shape, sum(shape)
+    windows = [
+        (tuple(tokens[i : i + ll]), tuple(tokens[i + ll : i + width]))
+        for i in range(len(tokens) - width + 1)
+    ]
+    distinct = len({leader for leader, _ in windows})
+    lc = max(1, distinct + lc_shift)
+    table, ref = CountingTable(CacheTableConfig(ll, fl, lc, fc)), RefLruTable(ll, fl, lc, fc)
+    table.insert_windows(tokens)
+    for leader, follower in windows:
+        ref.insert(leader, follower)
+    assert snapshot(table) == ref.state()
+    assert (table.insert_calls == 0) == (lc >= distinct)  # which of the two paths ran
+
+
 def check_against_reference(cfg, ops) -> Counter:
     """Replay ``ops`` on a table and on the reference, comparing every result
     and the whole state after each op; count which path each insert into a

@@ -134,6 +134,16 @@ class TestVerifyTree:
         assert accepted == 2
         assert appended == node_tokens(tree, [0, 1]) + [9]
 
+    def test_an_empty_map_is_not_a_hit(self):
+        # Built trees store no empty map; the walk must not rely on that.
+        tree = fox_tree()
+        assert tree.child[None][RAN] == 0  # chain 0 is a hit, though falsy
+        tree.child[0] = {}
+        stub = PathStub(FOX_CONTEXT, {(): RAN, (RAN,): FAST, (RAN, FAST): 55})
+        accepted, appended = walk(tree, FOX_CONTEXT, stub)
+        assert accepted == 2
+        assert appended == [RAN, FAST, 55]
+
 
 def fresh_state(ll=1, fl=2, lc=64, fc=8, tdl=12, crt=3, frozen=None, dynamic=True):
     tcfg = CacheTableConfig(ll, fl, lc, fc)

@@ -318,11 +318,16 @@ def test_index_and_accept_match_brute_force():
                 phase_two += len(nodes) > len(bare.nodes)  # the frozen phase hung chains
                 brute = brute_build_tree(context, pending, ref, frozen_map, tdl, crt, ll, fl)
                 flat = {
-                    (parent, first): hit
+                    (parent, first): (hit, tree.nodes.chains[hit][2])
                     for parent, kids in tree.child.items()
                     for first, hit in kids.items()
                 }
-                assert flat == brute_chain_index(brute, fl)
+                # The brute index names nodes; chain c holds nodes c*fl .. c*fl+fl-1.
+                by_chain = {
+                    (None if parent is None else parent // fl, first): (end // fl, tokens)
+                    for (parent, first), (end, tokens) in brute_chain_index(brute, fl).items()
+                }
+                assert flat == by_chain
                 assert all(tree.child.values())  # a map is stored only for a pop that hung
                 assert tree.max_depth == brute_max_depth(nodes)
 
