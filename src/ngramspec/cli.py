@@ -20,7 +20,7 @@ import time
 from array import array
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .cache_table import CacheTableConfig, LruCacheTable, check_int
 from .decode_loop import DecodeState, KGramVerifier, ReplayOracle, run_decode
@@ -90,31 +90,47 @@ def tokenize(text: str, mode: str, vocab: Vocab | None = None) -> list[int]:
     return vocab.encode(text)
 
 
-def read_documents(paths: Sequence[str | Path], doc_mode: str) -> list[str]:
-    """Load corpus documents: one per non-blank line, or one per file."""
+def _documents(paths: Sequence[str | Path], doc_mode: str) -> Iterator[str]:
+    """Documents in file order: one per non-blank line, or one per file.  Line
+    mode streams each file, and splits each line read again at the breaks
+    ``splitlines`` adds to ``\\n``, ``\\r`` and ``\\r\\n``: the whole text's lines."""
     if doc_mode not in ("line", "file"):
         raise ValueError(f"unknown doc mode {doc_mode!r}")
-    docs: list[str] = []
     for path in paths:
-        text = Path(path).read_text(encoding="utf-8")
-        if doc_mode == "line":
-            # isspace tests what strip() would, without copying the line.
-            docs.extend(line for line in text.splitlines() if line and not line.isspace())
-        elif text and not text.isspace():
-            docs.append(text)
-    return docs
+        if doc_mode == "file":
+            text = Path(path).read_text(encoding="utf-8")
+            if text and not text.isspace():
+                yield text
+            continue
+        with open(path, encoding="utf-8") as f:
+            for physical in f:
+                for line in physical.splitlines():
+                    if line and not line.isspace():  # what strip() tests, without a copy
+                        yield line
 
 
-def _check_fraction(fraction: float) -> None:
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"sample fraction must be in (0, 1], got {fraction}")
+def read_documents(paths: Sequence[str | Path], doc_mode: str) -> list[str]:
+    """Every document, as a list (prompts are read whole), split as the corpus streams."""
+    return list(_documents(paths, doc_mode))
 
 
-def sample_documents(docs: Sequence[str], fraction: float, seed: int) -> list[str]:
-    """Seeded Bernoulli document sample; ``fraction`` must be in (0, 1]."""
-    _check_fraction(fraction)
-    rng = random.Random(seed)
-    return [doc for doc in docs if rng.random() < fraction]
+def _corpus_ids(
+    paths: Sequence[str | Path], doc_mode: str, tokenizer: str, vocab: Vocab | None,
+    fraction: float = 1.0, seed: int = 0,
+) -> tuple[array, array]:
+    """The corpus as ``count_ngrams`` takes it: every id in one u32 ``array('I')``
+    and the cumulative document lengths in an ``array('q')``.  A document is
+    kept if its ``random.Random(seed).random()`` draw, one per document in file
+    order, is below ``fraction``, and is tokenized straight into the ids."""
+    draw, ids, ends = random.Random(seed).random, array("I"), array("q")
+    for text in _documents(paths, doc_mode):
+        if draw() < fraction:
+            try:
+                ids.fromlist(tokenize(text, tokenizer, vocab))
+            except (OverflowError, TypeError) as exc:
+                raise ValueError(f"token ids must be integers in [0, 2**32): {exc}") from exc
+            ends.append(len(ids))
+    return ids, ends
 
 
 @dataclass
@@ -278,24 +294,22 @@ def cmd_build_table(
     """Sample the corpus, count n-grams, and write the frozen table.
 
     Whitespace runs also write the vocabulary next to the table
-    (``<out>.vocab.json``) so later benchmarks can share token ids.  Each
+    (``<out>.vocab.json``) so later benchmarks can share token ids.  The
+    corpus streams from its files into one u32 id array (4 bytes a token):
+    neither the text, its lines nor a per-document array is held.  Each
     stage's input is released once the next stage holds its output, so
-    counting and ranking are not allocated on top of the corpus.  A document's
-    ids are one ``array('I')``: 4 bytes an id, one object for the collector.
+    ranking is not allocated on top of the ids.
     """
     if tokenizer not in TOKENIZERS:
         raise ValueError(f"unknown tokenizer mode {tokenizer!r}")
-    _check_fraction(sample_fraction)
-    docs = read_documents(corpus_paths, doc_mode)
-    sampled = sample_documents(docs, sample_fraction, seed)
-    del docs
-    if not sampled:
-        print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
+    if not 0.0 < sample_fraction <= 1.0:
+        raise ValueError(f"sample fraction must be in (0, 1], got {sample_fraction}")
     vocab = Vocab() if tokenizer == "whitespace" else None
-    corpus = [array("I", tokenize(text, tokenizer, vocab)) for text in sampled]
-    del sampled
-    counts = count_ngrams(corpus, tcfg)
-    del corpus
+    ids, ends = _corpus_ids(corpus_paths, doc_mode, tokenizer, vocab, sample_fraction, seed)
+    if not ends:
+        print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
+    counts = count_ngrams(ids, ends, tcfg)
+    del ids, ends
     table = build_frozen(counts, tcfg)
     del counts
     out = Path(out)
@@ -354,9 +368,8 @@ def _load_inputs(
                 )
     frozen_for = lambda tcfg: frozen
     if corpus_paths:
-        texts = read_documents(corpus_paths, cfg.doc_mode)
-        corpus = [array("I", tokenize(text, cfg.tokenizer, vocab)) for text in texts]
-        frozen_for = lambda tcfg: build_frozen(count_ngrams(corpus, tcfg), tcfg)
+        ids, ends = _corpus_ids(corpus_paths, cfg.doc_mode, cfg.tokenizer, vocab)
+        frozen_for = lambda tcfg: build_frozen(count_ngrams(ids, ends, tcfg), tcfg)
     texts = read_documents(prompt_paths, cfg.doc_mode)
     return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen_for
 

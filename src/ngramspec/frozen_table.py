@@ -37,7 +37,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -70,24 +70,18 @@ class NGramCounts:
     counts: np.ndarray
 
 
-def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NGramCounts:
+def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> NGramCounts:
     """Count every in-document window of ``ll + fl`` consecutive tokens.
 
-    Documents shorter than one window contribute nothing.  Token ids must be
-    integers in ``[0, 2**32)`` (CBFT stores u32 ids); others raise
-    ``ValueError``.  The ids are copied into one u32 array: a memory copy for
-    ``array('I')`` documents (an array of another type code is refused).
+    ``ids`` is every document's token ids end to end in one u32 buffer, such
+    as an ``array('I')`` (CBFT stores u32 ids), read in place, not copied;
+    ``ends`` is the int64 cumulative document lengths, such as an
+    ``array('q')``.  Documents shorter than one window contribute nothing.
     """
     width = tcfg.ll + tcfg.fl
-    flat = array("I")
-    ends = array("q")  # cumulative document lengths
-    try:
-        for doc in streams:
-            flat.extend(doc)
-            ends.append(len(flat))
-    except (OverflowError, TypeError) as exc:
-        raise ValueError(f"token ids must be integers in [0, 2**32): {exc}") from exc
-    ids = np.frombuffer(flat, np.uint32)
+    ids, ends = np.frombuffer(ids, np.uint32), np.frombuffer(ends, np.int64)
+    if (ends[-1] if ends.size else 0) != ids.size or np.any(np.diff(ends, prepend=0) < 0):
+        raise ValueError("document ends must be ascending and end at the last id")
     n_windows = ids.size - width + 1
     if n_windows <= 0:
         return NGramCounts(np.zeros((0, width), np.uint32), np.zeros(0, np.int64))
@@ -112,8 +106,6 @@ def count_ngrams(streams: Iterable[Sequence[int]], tcfg: CacheTableConfig) -> NG
         bound *= base
     # The windows starting at e - width + 1 ... e - 1 cross the document end
     # e (a cumulative length); their keys become -1 and sort first.
-    del ids, flat  # set-up's peak memory is the few n-length arrays alive at once
-    ends = np.frombuffer(ends, np.int64)
     for back in range(1, width):
         cross = ends - back
         key[cross[(cross >= 0) & (cross < n_windows)]] = -1

@@ -10,6 +10,9 @@ off on phrases first seen after the prompt half.
 from __future__ import annotations
 
 import random
+from array import array
+from itertools import accumulate, chain
+from typing import Sequence
 
 PHRASES = [
     "the quarterly report shows steady growth across all regions",
@@ -59,3 +62,9 @@ def diverse_docs(n_docs: int = 2000, seed: int = 11) -> list[list[int]]:
     tokens, and almost every window of four tokens distinct."""
     rng = random.Random(seed)
     return [[rng.randrange(50_000) for _ in range(100)] for _ in range(n_docs)]
+
+
+def flat(docs: Sequence[Sequence[int]]) -> tuple[array, array]:
+    """Token-id documents as ``count_ngrams`` takes them: every id end to end
+    in one ``array('I')``, and the ``array('q')`` of cumulative lengths."""
+    return array("I", chain.from_iterable(docs)), array("q", accumulate(map(len, docs)))

@@ -137,6 +137,36 @@ MUTANTS = [
         "for back in range(1, width - 1):",
     ),
     (
+        "ids-copied-for-counting",
+        FROZEN,
+        "np.frombuffer(ids, np.uint32)",
+        "np.array(ids, np.uint32)",
+    ),
+    (
+        "sampling-draw-skipped-once",
+        CLI,
+        "if draw() < fraction:",
+        "if len(ends) == 1 or draw() < fraction:",
+    ),
+    (
+        "ends-appended-before-extend",
+        CLI,
+        "            try:\n                ids.fromlist(tokenize(text, tokenizer, vocab))\n"
+        "            except (OverflowError, TypeError) as exc:\n"
+        '                raise ValueError(f"token ids must be integers in [0, 2**32): {exc}") from exc\n'
+        "            ends.append(len(ids))",
+        "            ends.append(len(ids))\n"
+        "            try:\n                ids.fromlist(tokenize(text, tokenizer, vocab))\n"
+        "            except (OverflowError, TypeError) as exc:\n"
+        '                raise ValueError(f"token ids must be integers in [0, 2**32): {exc}") from exc',
+    ),
+    (
+        "reader-splits-on-newline-only",
+        CLI,
+        "for line in physical.splitlines()",
+        'for line in [physical.rstrip("\\n")]',
+    ),
+    (
         "new-words-numbered-sorted",
         CLI,
         "for word in words:\n                if word not in ids:",

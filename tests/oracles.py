@@ -7,6 +7,7 @@ package under test.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, Sequence
 
 
@@ -91,6 +92,15 @@ def naive_window_counts(docs: Sequence[Sequence[int]], width: int) -> dict[tuple
             window = toks[i : i + width]
             counts[window] = counts.get(window, 0) + 1
     return counts
+
+
+def sampled_lines(texts: Sequence[str], fraction: float, seed: int) -> list[str]:
+    """The line documents a seeded Bernoulli sample keeps from files with these
+    texts, in order: one ``random.Random(seed).random()`` per non-blank line,
+    and the line is kept when the draw is below ``fraction``."""
+    rng = random.Random(seed)
+    lines = [line for text in texts for line in text.splitlines() if line.strip()]
+    return [line for line in lines if rng.random() < fraction]
 
 
 def naive_frozen_map(

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from array import array
 from dataclasses import replace
@@ -13,7 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ngramspec import cli
@@ -31,14 +33,13 @@ from ngramspec.cli import (
     parse_int_list,
     read_documents,
     run_bench,
-    sample_documents,
     tokenize,
 )
 from ngramspec.decode_loop import ReplayOracle
 from ngramspec.frozen_table import FrozenTable, build_frozen, count_ngrams
 
-from corpus import background_texts, eval_texts, repetitive_docs
-from oracles import SimDecoder, cbft_bytes, naive_frozen_map
+from corpus import background_texts, eval_texts, flat, repetitive_docs
+from oracles import SimDecoder, cbft_bytes, naive_frozen_map, sampled_lines
 
 
 class TestTokenize:
@@ -135,18 +136,85 @@ class TestReadAndSample:
         with pytest.raises(ValueError, match="doc mode"):
             read_documents([p], "para")
 
-    def test_sampling_is_seeded(self):
-        docs = [f"d{i}" for i in range(200)]
-        a = sample_documents(docs, 0.5, 42)
-        b = sample_documents(docs, 0.5, 42)
-        c = sample_documents(docs, 0.5, 43)
-        assert a == b
-        assert a != c
-        assert sample_documents(docs, 1.0, 0) == docs
+    def test_sampling_is_seeded(self, tmp_path, monkeypatch):
+        # One draw per non-blank line, in file order, continuing across files;
+        # blank and whitespace-only lines take none.  The oracle picks the lines.
+        texts = [
+            "\n".join(f"a{i}" if i % 5 else " \t" for i in range(120)),
+            "\r\n".join(f"b{i}" if i % 7 else "" for i in range(90)) + "\r\n",
+        ]
+        paths = [tmp_path / "c0.txt", tmp_path / "c1.txt"]
+        for path, text in zip(paths, texts):
+            path.write_bytes(text.encode("utf-8"))
+        counted = counted_documents(monkeypatch)
+        for fraction, seed in ((0.5, 42), (0.5, 42), (0.5, 43), (1.0, 0)):
+            cmd_build_table(
+                paths, tmp_path / "t.cbft", CacheTableConfig(1, 1, 8, 8), "byte", "line", fraction, seed
+            )
+        a, b, c, whole = counted
+        assert a == b == sampled_lines(texts, 0.5, 42)
+        assert c == sampled_lines(texts, 0.5, 43) != a
+        assert whole == sampled_lines(texts, 1.0, 0)
+        assert 0 < len(a) < len(whole) == 96 + 77
 
-    def test_fraction_out_of_range(self):
-        with pytest.raises(ValueError):
-            sample_documents(["x"], 0.0, 1)
+    def test_fraction_out_of_range(self, tmp_path, monkeypatch):
+        # (0, 1] is open at 0 and closed at 1: a fraction of 1 keeps every
+        # document, the smallest positive float is accepted, and the next
+        # float above 1 is refused.
+        text = "a b\n\nc d\n"
+        src = tmp_path / "corpus.txt"
+        src.write_text(text, encoding="utf-8")
+        counted = counted_documents(monkeypatch)
+        tcfg = CacheTableConfig(1, 1, 8, 8)
+        for fraction in (0.0, math.nextafter(1.0, 2.0)):
+            with pytest.raises(ValueError, match="sample fraction"):
+                cmd_build_table([src], tmp_path / "t.cbft", tcfg, "byte", "line", fraction, 7)
+        assert counted == []
+        for fraction in (1.0, 5e-324):
+            cmd_build_table([src], tmp_path / "t.cbft", tcfg, "byte", "line", fraction, 7)
+        assert counted == [["a b", "c d"], []]
+
+
+def byte_documents(ids, ends) -> list[str]:
+    """The texts of byte-token documents given as one id array and their ends."""
+    return [bytes(ids[a:b].tolist()).decode("utf-8") for a, b in zip([0, *ends], ends)]
+
+
+def counted_documents(monkeypatch) -> list[list[str]]:
+    """Patch ``cli.count_ngrams`` to record, per call, the texts of the
+    byte-token documents it counts."""
+    calls = []
+
+    def probe(ids, ends, tcfg):
+        calls.append(byte_documents(ids, ends))
+        return count_ngrams(ids, ends, tcfg)
+
+    monkeypatch.setattr(cli, "count_ngrams", probe)
+    return calls
+
+
+LINE_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_PIECES += ["a", "b", " ", "\t", "\u3000", "\u200b", "\xe9"]
+
+
+@given(
+    pad=st.sampled_from([0, 8190, 8191, 8192]),
+    text=st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join),
+)
+@example(pad=8191, text="\r\nb")  # a \r\n across the first 8 KiB read
+@example(pad=0, text="a\n \t\n\u3000\r\n\x85b")  # whitespace-only lines, no final newline
+@settings(max_examples=300, deadline=None)
+def test_line_documents_are_the_texts_nonblank_splitlines(pad, text):
+    """Line mode streams a file, yet its documents, read for prompts or
+    streamed into the corpus ids, are the non-blank lines of the whole text's
+    ``splitlines()``, whatever line breaks it holds."""
+    text = "x" * pad + text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "docs.txt"
+        path.write_bytes(text.encode("utf-8"))
+        expected = [line for line in text.splitlines() if line and not line.isspace()]
+        assert read_documents([path], "line") == expected
+        assert byte_documents(*cli._corpus_ids([path], "line", "byte", None)) == expected
 
 
 class TestBuildTable:
@@ -231,25 +299,47 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("tokenizer", TOKENIZERS)
     def test_corpus_reaches_counting_as_u32_arrays(self, tmp_path, monkeypatch, tokenizer):
-        # One array('I') per document: 4 bytes an id, copied by count_ngrams
-        # in one memcpy, and one object for the collector, not a list of ids.
+        # build-table and bench --corpus both hand counting every id in one
+        # array('I') (4 bytes an id, read in place) and the document ends in
+        # one array('q'), not an object per document.
+        texts = background_texts(5)
         src = tmp_path / "corpus.txt"
-        src.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        src.write_text("\n".join(texts), encoding="utf-8")
         prompts = tmp_path / "p.txt"
         prompts.write_text(eval_texts(1)[0], encoding="utf-8")
         seen = []
 
-        def probe(docs, tcfg):
-            seen.append([(type(doc), getattr(doc, "typecode", None)) for doc in docs])
-            return count_ngrams(docs, tcfg)
+        def probe(ids, ends, tcfg):
+            seen.append((type(ids), ids.typecode, ids.tolist(), type(ends), ends.typecode, ends.tolist()))
+            return count_ngrams(ids, ends, tcfg)
 
         monkeypatch.setattr(cli, "count_ngrams", probe)
         tcfg = CacheTableConfig(1, 3, 64, 8)
         cmd_build_table([src], tmp_path / "t.cbft", tcfg, tokenizer=tokenizer)
         cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, tokenizer=tokenizer, max_new_tokens=4)
         cmd_bench(cfg, [prompts], corpus_paths=[src])
-        assert len(seen) == 2
-        assert all(kinds == [(array, "I")] * 5 for kinds in seen)
+        vocab = Vocab() if tokenizer == "whitespace" else None
+        ids, ends = flat([tokenize(text, tokenizer, vocab) for text in texts])
+        assert seen == [(array, "I", ids.tolist(), array, "q", ends.tolist())] * 2
+
+    def test_peak_memory_per_token(self, tmp_path):
+        # The corpus streams into one u32 id array, so the peak is counting's:
+        # the ids (4 bytes a token, 4.5 with the array's spare room) and their
+        # int64 packed keys, 14.0 bytes a token here.  Holding the file's
+        # lines while tokenizing reads 19.0 (as a list of documents) to 27.4
+        # (its text and splitlines()), and one array per document held while
+        # counting 20.2.  12-character words make the text 13 bytes a token.
+        docs = repetitive_docs()
+        src = tmp_path / "corpus.txt"
+        src.write_text("\n".join(" ".join(f"word{t:08d}" for t in doc) for doc in docs), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cmd_build_table([src], tmp_path / "t.cbft", CacheTableConfig(1, 3, 2**20, 128))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak / sum(map(len, docs)) <= 16
 
     def test_corpus_released_before_ranking(self, tmp_path, monkeypatch):
         # On a repetitive corpus the counts are far smaller than the text, so
@@ -401,7 +491,7 @@ class TestSweep:
         corpus.write_text("\n".join(background_texts(5)), encoding="utf-8")
         shapes = []
         for name, real in (("count_ngrams", count_ngrams), ("build_frozen", build_frozen)):
-            monkeypatch.setattr(cli, name, lambda data, tcfg, real=real: shapes.append(tcfg) or real(data, tcfg))
+            monkeypatch.setattr(cli, name, lambda *args, real=real: shapes.append(args[-1]) or real(*args))
         cfg = RunConfig(lc=256, fc=16, tdl=24, crt=4, max_new_tokens=10)
         cmd_sweep(cfg, [1, 2], [1, 3], [prompts], corpus_paths=[corpus])
         cells = [replace(cfg, ll=ll, fl=fl).table_config() for ll in (1, 2) for fl in (1, 3)]
@@ -508,7 +598,7 @@ class TestRunBenchWiring:
     @pytest.mark.parametrize("dynamic", [True, False], ids=["dual", "frozen"])
     def test_table_of_another_shape_rejected(self, dynamic):
         tcfg = CacheTableConfig(1, 2, 64, 8)
-        frozen = build_frozen(count_ngrams([[1, 2, 3, 1, 2, 3]], tcfg), tcfg)
+        frozen = build_frozen(count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg), tcfg)
         with pytest.raises(ValueError, match="table shape"):
             run_bench(RunConfig(ll=1, fl=3, max_new_tokens=5), [[1, 2, 3, 4]], frozen, dynamic)
 
@@ -526,7 +616,7 @@ class TestRunBenchWiring:
         # No token repeats, so only a table built from the document drafts.
         doc = list(range(40))
         cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, verifier="replay", max_new_tokens=20)
-        frozen = build_frozen(count_ngrams([doc], cfg.table_config()), cfg.table_config())
+        frozen = build_frozen(count_ngrams(*flat([doc]), cfg.table_config()), cfg.table_config())
         for dynamic, mode in ((True, "dual"), (False, "frozen")):
             report = run_bench(cfg, [doc], frozen, dynamic)
             assert report.config["mode"] == mode

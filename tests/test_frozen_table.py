@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ngramspec import cli
 from ngramspec.cache_table import CacheTableConfig
 from ngramspec.frozen_table import (
     FrozenTable,
@@ -21,12 +22,12 @@ from ngramspec.frozen_table import (
     count_ngrams,
 )
 
-from corpus import diverse_docs, repetitive_docs
+from corpus import diverse_docs, flat, repetitive_docs
 from oracles import cbft_bytes, naive_frozen_map, naive_window_counts, ranked_window_map
 
 
 def empty_table(tcfg):
-    return build_frozen(count_ngrams([], tcfg), tcfg)
+    return build_frozen(count_ngrams(*flat([]), tcfg), tcfg)
 
 
 def traced_peak(fn, *args):
@@ -42,6 +43,14 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def build_with_ids(tmp_path, monkeypatch, ids):
+    """Build ``t.cbft`` from a one-line corpus that tokenizes to ``ids``."""
+    src = tmp_path / "corpus.txt"
+    src.write_text("one line\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "tokenize", lambda *args: ids)
+    cli.cmd_build_table([src], tmp_path / "t.cbft", CacheTableConfig(1, 1, 8, 8))
+
+
 def distinct(counts):
     """Counted windows as {window tuple: count}."""
     return dict(zip(map(tuple, counts.windows.tolist()), counts.counts.tolist()))
@@ -50,23 +59,23 @@ def distinct(counts):
 class TestCountNgrams:
     def test_alternating_doc(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
-        counts = count_ngrams([[10, 11, 10, 11, 10]], tcfg)
+        counts = count_ngrams(*flat([[10, 11, 10, 11, 10]]), tcfg)
         assert counts.windows.tolist() == [[10, 11], [11, 10]]
         assert counts.counts.tolist() == [2, 2]
 
     def test_empty_corpus(self):
-        counts = count_ngrams([], CacheTableConfig(1, 1, 8, 8))
+        counts = count_ngrams(*flat([]), CacheTableConfig(1, 1, 8, 8))
         assert counts.windows.shape == (0, 2) and not len(counts.counts)
 
     def test_doc_one_token_short_of_a_window(self):
         tcfg = CacheTableConfig(2, 3, 8, 8)
-        counts = count_ngrams([[1, 2, 3, 4]], tcfg)  # needs ll + fl = 5
+        counts = count_ngrams(*flat([[1, 2, 3, 4]]), tcfg)  # needs ll + fl = 5
         assert not distinct(counts)
 
     def test_windows_do_not_cross_documents(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
-        assert not distinct(count_ngrams([[1], [2]], tcfg))
-        counts = count_ngrams([[1, 2], [], [3], [4, 5, 6]], tcfg)
+        assert not distinct(count_ngrams(*flat([[1], [2]]), tcfg))
+        counts = count_ngrams(*flat([[1, 2], [], [3], [4, 5, 6]]), tcfg)
         assert distinct(counts) == {(1, 2): 1, (4, 5): 1, (5, 6): 1}
 
     @pytest.mark.parametrize(
@@ -74,29 +83,37 @@ class TestCountNgrams:
         [-1, 2**32, 2**70, np.int64(-1), np.int64(2**32)],
         ids=["negative", "2**32", "2**70", "np-negative", "np-2**32"],
     )
-    def test_ids_outside_u32_rejected(self, bad):
+    def test_ids_outside_u32_rejected(self, tmp_path, monkeypatch, bad):
+        # Ids enter the u32 array as the corpus streams in, and are refused there.
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
+            build_with_ids(tmp_path, monkeypatch, [1, 2, bad, 3])
+        assert not (tmp_path / "t.cbft").exists()
 
     @pytest.mark.parametrize("bad", [2.5, np.float64(2.0), "3"], ids=["float", "np-float", "str"])
-    def test_non_integer_ids_rejected(self, bad):
+    def test_non_integer_ids_rejected(self, tmp_path, monkeypatch, bad):
         with pytest.raises(ValueError, match=r"integers in \[0, 2\*\*32\)"):
-            count_ngrams([[1, 2, bad, 3]], CacheTableConfig(1, 1, 8, 8))
+            build_with_ids(tmp_path, monkeypatch, [1, 2, bad, 3])
+        assert not (tmp_path / "t.cbft").exists()
+
+    @pytest.mark.parametrize("ends", [[3], [5], [2, 1, 4], [-1, 4]])
+    def test_ends_that_do_not_split_the_ids_rejected(self, ends):
+        with pytest.raises(ValueError, match="document ends"):
+            count_ngrams(array("I", [1, 2, 3, 4]), array("q", ends), CacheTableConfig(1, 1, 8, 8))
 
     def test_u32_extremes_accepted(self):
         top = 2**32 - 1
-        counts = count_ngrams([[0, top, 0, top]], CacheTableConfig(2, 2, 8, 8))
+        counts = count_ngrams(*flat([[0, top, 0, top]]), CacheTableConfig(2, 2, 8, 8))
         assert distinct(counts) == {(0, top, 0, top): 1}
 
     def test_peak_memory_per_token(self):
-        # A u32 id and an int64 packed key per token (12 bytes) and little
-        # else: no int64 copy of the ids, no per-token document array, and
-        # the document ends in one int64 array.
+        # An int64 packed key per token (8 bytes), its run-head mask (1 byte)
+        # and little else above the input (9.44 bytes a token): the u32 ids
+        # are read in place.  A u32 copy of them would add 4 bytes a token.
         docs = repetitive_docs()
         n_tokens = sum(map(len, docs))
         assert n_tokens >= 200_000
-        _, peak = traced_peak(count_ngrams, docs, CacheTableConfig(1, 3, 8, 8))
-        assert peak / n_tokens <= 13.5
+        _, peak = traced_peak(count_ngrams, *flat(docs), CacheTableConfig(1, 3, 8, 8))
+        assert peak / n_tokens <= 10
 
     def test_peak_memory_per_token_when_windows_are_distinct(self):
         # Nearly one distinct window per token: the n-length keys are freed
@@ -105,13 +122,13 @@ class TestCountNgrams:
         # keys are alive peak at 46.8 bytes a token.
         docs = diverse_docs()
         n_tokens = sum(map(len, docs))
-        counts, peak = traced_peak(count_ngrams, docs, CacheTableConfig(1, 3, 8, 8))
+        counts, peak = traced_peak(count_ngrams, *flat(docs), CacheTableConfig(1, 3, 8, 8))
         assert len(counts.windows) >= 0.95 * n_tokens
         assert peak / n_tokens <= 33
 
     def test_counted_windows_take_24_bytes_each(self):
         # Four u32 ids and an int64 count; int64 ids would take 40 bytes.
-        counts = count_ngrams(diverse_docs(), CacheTableConfig(1, 3, 8, 8))
+        counts = count_ngrams(*flat(diverse_docs()), CacheTableConfig(1, 3, 8, 8))
         assert counts.windows.dtype == np.uint32
         assert (counts.windows.nbytes + counts.counts.nbytes) / len(counts.windows) == 24
 
@@ -119,17 +136,17 @@ class TestCountNgrams:
 class TestBuildFrozen:
     def test_top_one_follower(self):
         tcfg = CacheTableConfig(1, 1, 8, 1)
-        table = build_frozen(count_ngrams([[1, 2]] * 3 + [[1, 3]], tcfg), tcfg)
+        table = build_frozen(count_ngrams(*flat([[1, 2]] * 3 + [[1, 3]]), tcfg), tcfg)
         assert table.query((1,)) == ((2,),)
 
     def test_tie_breaks_by_token_order(self):
         tcfg = CacheTableConfig(1, 1, 8, 2)
-        table = build_frozen(count_ngrams([[1, 5], [1, 5], [1, 3], [1, 3]], tcfg), tcfg)
+        table = build_frozen(count_ngrams(*flat([[1, 5], [1, 5], [1, 3], [1, 3]]), tcfg), tcfg)
         assert table.query((1,)) == ((3,), (5,))
 
     def test_leader_capacity_keeps_most_frequent(self):
         tcfg = CacheTableConfig(1, 1, 1, 4)
-        table = build_frozen(count_ngrams([[1, 9]] * 5 + [[2, 9]] * 3, tcfg), tcfg)
+        table = build_frozen(count_ngrams(*flat([[1, 9]] * 5 + [[2, 9]] * 3), tcfg), tcfg)
         assert len(table.entries) == 1
         assert table.query((1,)) == ((9,),)
         assert table.query((2,)) == ()
@@ -140,16 +157,16 @@ class TestBuildFrozen:
         # would keep (5, 6), which is ranked past fc.
         tcfg = CacheTableConfig(1, 2, 8, 2)
         docs = [[1, 2, 3]] * 3 + [[1, 2, 4]] * 2 + [[1, 5, 6]]
-        table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+        table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
         assert table.query((1,)) == ((2, 3),)
         wider = CacheTableConfig(1, 2, 8, 3)
-        assert build_frozen(count_ngrams(docs, wider), wider).query((1,)) == ((2, 3), (5, 6))
+        assert build_frozen(count_ngrams(*flat(docs), wider), wider).query((1,)) == ((2, 3), (5, 6))
 
     def test_peak_memory_per_window(self):
         # Ranking holds int32 window indices and one int64 sort key; int64
         # indices peak at 77.7 bytes a window above the input.
         tcfg = CacheTableConfig(1, 3, 8, 8)
-        counts = count_ngrams(diverse_docs(), tcfg)
+        counts = count_ngrams(*flat(diverse_docs()), tcfg)
         _, peak = traced_peak(build_frozen, counts, tcfg)
         assert peak / len(counts.windows) <= 52
 
@@ -168,7 +185,7 @@ class TestBuildFrozen:
         assert list(table.entries) == list(expected)
 
     def test_counts_of_another_shape_rejected(self):
-        counts = count_ngrams([[1, 2, 3]], CacheTableConfig(1, 2, 8, 8))
+        counts = count_ngrams(*flat([[1, 2, 3]]), CacheTableConfig(1, 2, 8, 8))
         with pytest.raises(ValueError):
             build_frozen(counts, CacheTableConfig(1, 1, 8, 8))
 
@@ -180,7 +197,7 @@ class TestQueryFrozen:
 
     def test_repeated_queries_identical(self):
         tcfg = CacheTableConfig(1, 2, 4, 4)
-        counts = count_ngrams([[1, 2, 3, 1, 2, 3]], tcfg)
+        counts = count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg)
         table = build_frozen(counts, tcfg)
         first = table.query((1,))
         second = table.query((1,))
@@ -196,7 +213,7 @@ class TestSerialization:
 
     def test_round_trip_identity(self, tmp_path):
         tcfg = CacheTableConfig(2, 2, 8, 4)
-        counts = count_ngrams([[1, 2, 3, 4, 1, 2, 3, 4, 5, 6]], tcfg)
+        counts = count_ngrams(*flat([[1, 2, 3, 4, 1, 2, 3, 4, 5, 6]]), tcfg)
         table = build_frozen(counts, tcfg)
         path = tmp_path / "table.cbft"
         table.save(path)
@@ -230,7 +247,7 @@ class TestSerialization:
 
     def test_truncation_reports_offset(self):
         tcfg = CacheTableConfig(1, 1, 4, 4)
-        counts = count_ngrams([[1, 2, 1, 2]], tcfg)
+        counts = count_ngrams(*flat([[1, 2, 1, 2]]), tcfg)
         table = build_frozen(counts, tcfg)
         sink = io.BytesIO()
         table.save(sink)
@@ -324,7 +341,7 @@ class TestSerialization:
         docs = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [1, 4, 1, 4, 2, 1, 4]]
         blobs = []
         for _ in range(2):
-            table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+            table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
             sink = io.BytesIO()
             table.save(sink)
             blobs.append(sink.getvalue())
@@ -340,15 +357,15 @@ u32_docs = st.lists(
 @given(docs=u32_docs, ll=st.integers(1, 3), fl=st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_u32_array_documents_count_as_lists(docs, ll, fl):
-    """The corpus as ``array('I')`` documents, as the CLI holds it, counts
-    exactly as the same ids in lists: empty, short and extreme-id documents too."""
-    tcfg = CacheTableConfig(ll, fl, 8, 8)
-    from_lists = count_ngrams(docs, tcfg)
-    from_arrays = count_ngrams([array("I", doc) for doc in docs], tcfg)
-    assert from_arrays.windows.dtype == from_lists.windows.dtype == np.uint32
-    assert np.array_equal(from_arrays.windows, from_lists.windows)
-    assert np.array_equal(from_arrays.counts, from_lists.counts)
-    assert distinct(from_lists) == naive_window_counts(docs, ll + fl)
+    """Documents held end to end in one ``array('I')``, as the CLI streams
+    them, count as the same ids in per-document lists do: empty, short and
+    extreme-id documents too.  Counting reads the array and leaves it as it was."""
+    ids, ends = flat(docs)
+    counts = count_ngrams(ids, ends, CacheTableConfig(ll, fl, 8, 8))
+    assert counts.windows.dtype == np.uint32
+    assert distinct(counts) == naive_window_counts(docs, ll + fl)
+    assert ids.tolist() == [token for doc in docs for token in doc]
+    ids.append(0)  # no view of the array outlives counting
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -363,7 +380,7 @@ def test_top_k_matches_naive_sorter(seed):
         for _ in range(rng.randint(1, 5))
     ]
     tcfg = CacheTableConfig(ll, fl, lc, fc)
-    table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
     expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     # Leader storage order is frequency-descending with lexicographic ties.
@@ -381,7 +398,7 @@ def test_built_table_equals_its_round_trip(seed):
         for _ in range(rng.randint(0, 4))
     ]
     tcfg = CacheTableConfig(ll, fl, 2**20, fc)
-    table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
     sink = io.BytesIO()
     table.save(sink)
     loaded = FrozenTable.load(sink.getvalue())
@@ -407,7 +424,7 @@ def test_wide_ids_and_long_windows_match_naive_sorter(seed):
             doc.extend(motif if rng.random() < 0.5 else rng.choices(alphabet, k=rng.randint(0, 5)))
         docs.append(doc)
     tcfg = CacheTableConfig(ll, fl, lc, fc)
-    table = build_frozen(count_ngrams(docs, tcfg), tcfg)
+    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
     expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     assert list(table.entries) == list(expected)
