@@ -223,12 +223,14 @@ def run_bench(
     frozen: FrozenTable | None = None,
     dynamic: bool = True,
 ) -> Report:
-    """Run every task document through the decode loop with the tables given
-    (``frozen`` if passed, a dynamic table if ``dynamic``): one ``task`` row
-    per document and an ``aggregate`` closing line.  The config's ``mode``
-    names that wiring: ``dual``, ``dynamic`` or ``frozen``.  As in perfbench,
-    each task's k-gram verifier is trained on its own document; ``run_decode``
-    starts each task from a fresh dynamic table."""
+    """Run every task document, as given, through the decode loop with the
+    tables given (``frozen`` if passed, a dynamic table if ``dynamic``): one
+    ``task`` row per document and an ``aggregate`` closing line.  The
+    config's ``mode`` names that wiring: ``dual``, ``dynamic`` or ``frozen``.
+    As in perfbench, each task's k-gram verifier is trained on its own
+    document; ``run_decode`` starts each task from a fresh dynamic table.
+    An empty list, or an empty document (named by its index), is rejected
+    before any task decodes."""
     if frozen is None and not dynamic:
         raise ValueError("frozen-only wiring requires a frozen table")
     if frozen is not None and (frozen.config.ll, frozen.config.fl) != (cfg.ll, cfg.fl):
@@ -236,9 +238,11 @@ def run_bench(
             f"table shape ll={frozen.config.ll},fl={frozen.config.fl} does not "
             f"match configured ll={cfg.ll},fl={cfg.fl}"
         )
-    docs = [list(d) for d in docs if len(d)]
     if not docs:
-        raise ValueError("no non-empty task documents")
+        raise ValueError("no task documents")
+    for i, doc in enumerate(docs):
+        if not len(doc):
+            raise ValueError(f"task document {i} is empty")
 
     mode = "dynamic" if frozen is None else "dual" if dynamic else "frozen"
     dynamic_table = LruCacheTable(cfg.table_config()) if dynamic else None
@@ -294,7 +298,8 @@ def cmd_build_table(
     """Sample the corpus, count n-grams, and write the frozen table.
 
     Whitespace runs also write the vocabulary next to the table
-    (``<out>.vocab.json``) so later benchmarks can share token ids.  The
+    (``<out>.vocab.json``) so later benchmarks can share token ids; it
+    records the SHA-256 of the bytes ``FrozenTable.save`` wrote.  The
     corpus streams from its files into one u32 id array (4 bytes a token):
     neither the text, its lines nor a per-document array is held.  Each
     stage's input is released once the next stage holds its output, so
@@ -308,14 +313,14 @@ def cmd_build_table(
     ids, ends = _corpus_ids(corpus_paths, doc_mode, tokenizer, vocab, sample_fraction, seed)
     if not ends:
         print("warning: corpus is empty after sampling; writing an empty table", file=sys.stderr)
-    counts = count_ngrams(ids, ends, tcfg)
+    windows, counts = count_ngrams(ids, ends, tcfg)
     del ids, ends
-    table = build_frozen(counts, tcfg)
-    del counts
+    table = build_frozen(windows, counts, tcfg)
+    del windows, counts
     out = Path(out)
-    table.save(out)
+    data = table.save(out)
     if vocab is not None:
-        vocab.table_sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
+        vocab.table_sha256 = hashlib.sha256(data).hexdigest()
         vocab.save(_vocab_sidecar(out))
     return out
 
@@ -369,7 +374,7 @@ def _load_inputs(
     frozen_for = lambda tcfg: frozen
     if corpus_paths:
         ids, ends = _corpus_ids(corpus_paths, cfg.doc_mode, cfg.tokenizer, vocab)
-        frozen_for = lambda tcfg: build_frozen(count_ngrams(ids, ends, tcfg), tcfg)
+        frozen_for = lambda tcfg: build_frozen(*count_ngrams(ids, ends, tcfg), tcfg)
     texts = read_documents(prompt_paths, cfg.doc_mode)
     return [tokenize(text, cfg.tokenizer, vocab) for text in texts], frozen_for
 

@@ -56,27 +56,18 @@ class FrozenTableLoadError(ValueError):
         self.offset = offset
 
 
-@dataclass
-class NGramCounts:
-    """Distinct windows of ``ll + fl`` tokens and how often each occurs.
-
-    ``windows`` is a ``(distinct, ll + fl)`` uint32 array of ids in
-    ascending lexicographic order, so each leader's windows are contiguous;
-    ``counts`` holds their int64 occurrence counts.  A leader's count is the
-    sum of its windows' counts.
-    """
-
-    windows: np.ndarray
-    counts: np.ndarray
-
-
-def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> NGramCounts:
+def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> tuple[np.ndarray, np.ndarray]:
     """Count every in-document window of ``ll + fl`` consecutive tokens.
 
     ``ids`` is every document's token ids end to end in one u32 buffer, such
     as an ``array('I')`` (CBFT stores u32 ids), read in place, not copied;
     ``ends`` is the int64 cumulative document lengths, such as an
     ``array('q')``.  Documents shorter than one window contribute nothing.
+
+    Returns ``(windows, counts)``: ``windows`` is a ``(distinct, ll + fl)``
+    uint32 array whose rows are sorted in ascending lexicographic order and
+    distinct, so each leader's windows are contiguous rows; ``counts`` holds
+    their int64 occurrence counts, each at least 1.
     """
     width = tcfg.ll + tcfg.fl
     ids, ends = np.frombuffer(ids, np.uint32), np.frombuffer(ends, np.int64)
@@ -84,7 +75,7 @@ def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> NGramCounts
         raise ValueError("document ends must be ascending and end at the last id")
     n_windows = ids.size - width + 1
     if n_windows <= 0:
-        return NGramCounts(np.zeros((0, width), np.uint32), np.zeros(0, np.int64))
+        return np.zeros((0, width), np.uint32), np.zeros(0, np.int64)
 
     # Pack window i into key[i] = sum(ids[i + c] * base**(width-1-c)), so
     # that sorting keys orders windows lexicographically.  Before a fold
@@ -120,7 +111,7 @@ def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> NGramCounts
     counts[:-1] = np.diff(counts)
     counts[-1:] = head.size - counts[-1:]
     del head
-    return NGramCounts(_unpack(key, prefix, base, width - prefix.shape[1]), counts)
+    return _unpack(key, prefix, base, width - prefix.shape[1]), counts
 
 
 def _unpack(keys: np.ndarray, prefix: np.ndarray, base: int, k: int) -> np.ndarray:
@@ -150,14 +141,16 @@ class FrozenTable:
         """The stored followers for ``leader`` in descending frequency, or ()."""
         return self.entries.get(leader, ())
 
-    def save(self, sink: str | Path | BinaryIO) -> None:
-        """Write the table in the CBFT format described in the module docs.
-        Every entry is checked before anything is written."""
+    def save(self, sink: str | Path | BinaryIO) -> bytes:
+        """Write the table in the CBFT format described in the module docs to
+        a path or a file sink, and return the bytes written.  Every entry is
+        checked before anything is written."""
         data = _encode(self)
         if hasattr(sink, "write"):
             sink.write(data)  # type: ignore[union-attr]
         else:
             Path(sink).write_bytes(data)
+        return data
 
     @classmethod
     def load(cls, source: str | Path | bytes) -> "FrozenTable":
@@ -166,17 +159,18 @@ class FrozenTable:
         return _parse(source if isinstance(source, bytes) else Path(source).read_bytes())
 
 
-def build_frozen(counts: NGramCounts, tcfg: CacheTableConfig) -> FrozenTable:
+def build_frozen(windows: np.ndarray, counts: np.ndarray, tcfg: CacheTableConfig) -> FrozenTable:
     """Keep the top-``lc`` leaders and, per leader, those of its top-``fc``
     followers whose first token no better-ranked one of them carries.
 
-    Ranking is by descending count, then ascending lexicographic token-id
-    order, which makes the result (and its serialization) deterministic.
-    The table's ``lc`` is the number of leaders kept (at least 1), as CBFT
-    records it, so a built table equals its own round trip.
+    ``windows`` and ``counts`` are as ``count_ngrams`` returns them: sorted,
+    distinct windows of ``ll + fl`` tokens and their counts.  Ranking is by
+    descending count, then ascending lexicographic token-id order, which
+    makes the result (and its serialization) deterministic.  The table's
+    ``lc`` is the number of leaders kept (at least 1), as CBFT records it,
+    so a built table equals its own round trip.
     """
     ll, width = tcfg.ll, tcfg.ll + tcfg.fl
-    windows, counts = counts.windows, counts.counts
     if windows.shape[1] != width:
         raise ValueError(f"counted windows have {windows.shape[1]} tokens, not ll + fl = {width}")
     if not len(windows):

@@ -3,8 +3,10 @@
 A mutant is a small deliberate bug, written as (name, file, exact old text,
 new text).  For each one the script copies the repository into a temporary
 directory, replaces the old text, which must occur exactly once in its file,
-and runs tier-1 there with ``-x``.  A mutant whose suite still passes
-survived: some behaviour has no test.  Run from the repository root:
+and runs tier-1 there with ``-x``: first its module's own test files,
+``tests/test_<module>*.py``, and the whole of tier-1 only if those pass.  A
+mutant that passes the whole suite survived: some behaviour has no test.
+Run from the repository root:
 
     python3 tests/mutants.py
 
@@ -204,6 +206,20 @@ MUTANTS = [
         'lines += [f"# {_json(self.closing)}"] if self.closing else []',
         "lines += []",
     ),
+    (
+        "empty-task-document-skipped",
+        CLI,
+        "    for i, doc in enumerate(docs):\n        if not len(doc):\n"
+        '            raise ValueError(f"task document {i} is empty")',
+        "    docs = [doc for doc in docs if len(doc)]",
+    ),
+    (
+        "sidecar-hashes-other-bytes",
+        CLI,
+        "vocab.table_sha256 = hashlib.sha256(data).hexdigest()",
+        "vocab.table_sha256 = hashlib.sha256(data[:-1]).hexdigest()",
+    ),
+    ("save-returns-other-bytes", FROZEN, "        return data\n", "        return data[:-1]\n"),
 ]
 
 
@@ -219,24 +235,32 @@ def misplaced() -> list[str]:
 
 def suite_passes(mutant: tuple[str, str, str, str] | None) -> bool:
     """Run tier-1 with ``-x`` on a fresh copy of the repository, with the
-    mutant applied (``None``: unmutated); True if every test passed."""
+    mutant applied (``None``: unmutated); True if every test passed.  The
+    mutated module's own test files run first, and tier-1 only if they pass."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
+        runs = [[]]  # pytest arguments after TIER1: [] is the whole suite
         if mutant is not None:
             _, path, old, new = mutant
             target = copy / path
             text = target.read_text(encoding="utf-8")
             target.write_text(text.replace(old, new), encoding="utf-8")
+            own = sorted(f"tests/{f.name}" for f in (copy / "tests").glob(f"test_{target.stem}*.py"))
+            runs = [own, []] if own else runs
         paths = ["src", *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-        try:
-            done = subprocess.run(
-                [sys.executable, *TIER1], cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S
-            )
-        except subprocess.TimeoutExpired:
-            return False
-        return done.returncode == 0
+        for args in runs:
+            try:
+                done = subprocess.run(
+                    [sys.executable, *TIER1, *args],
+                    cwd=copy, env=env, capture_output=True, timeout=TIMEOUT_S,
+                )
+            except subprocess.TimeoutExpired:
+                return False
+            if done.returncode != 0:
+                return False
+        return True
 
 
 def main() -> int:

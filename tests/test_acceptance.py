@@ -73,7 +73,7 @@ def _random_run(rng: random.Random):
     docs = _random_docs(rng)
     verifier = KGramVerifier(rng.randint(1, 3), docs)
     tcfg, dcfg = _random_config(rng)
-    frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg) if rng.random() < 0.5 else None
+    frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg) if rng.random() < 0.5 else None
     prompt = docs[0][: rng.randint(1, len(docs[0]))]
     max_new = rng.randint(1, 50)
     state = DecodeState.fresh(tcfg, dcfg, frozen=frozen)
@@ -167,7 +167,7 @@ def test_budget_bound():
         frozen = None
         if rng.random() < 0.4:
             docs = [[rng.randrange(pool) for _ in range(rng.randint(0, 15))]]
-            frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+            frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         context = [rng.randrange(pool) for _ in range(rng.randint(0, 10))]
         pending = rng.randint(0, min(3, len(context), dcfg.tdl))
         tree = build_draft_tree(context, pending, table, frozen, dcfg)
@@ -186,7 +186,7 @@ def _trend_inputs():
     bg = [tokenize(t, "whitespace", vocab) for t in background_texts()]
     ev = [tokenize(t, "whitespace", vocab) for t in eval_texts()]
     cfg = RunConfig(**TREND_CONFIG, verifier="kgram", kgram_order=3, max_new_tokens=200)
-    frozen = build_frozen(count_ngrams(*flat(bg), cfg.table_config()), cfg.table_config())
+    frozen = build_frozen(*count_ngrams(*flat(bg), cfg.table_config()), cfg.table_config())
     return cfg, bg, ev, frozen
 
 

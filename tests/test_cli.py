@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -350,9 +351,9 @@ class TestBuildTable:
         src.write_text("\n".join(lines), encoding="utf-8")
         live = []
 
-        def probe(counts, tcfg):
+        def probe(windows, counts, tcfg):
             live.append(tracemalloc.get_traced_memory()[0] - before)
-            return build_frozen(counts, tcfg)
+            return build_frozen(windows, counts, tcfg)
 
         monkeypatch.setattr(cli, "build_frozen", probe)
         tracemalloc.start()
@@ -363,6 +364,14 @@ class TestBuildTable:
             tracemalloc.stop()
         assert len(live) == 1
         assert live[0] < src.stat().st_size
+
+    def test_sidecar_names_the_sha256_of_the_table_file(self, tmp_path):
+        src = tmp_path / "corpus.txt"
+        src.write_text("\n".join(background_texts(5)), encoding="utf-8")
+        out = tmp_path / "t.cbft"
+        cmd_build_table([src], out, CacheTableConfig(1, 2, 64, 8))
+        sha256 = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert Vocab.load(tmp_path / "t.cbft.vocab.json").table_sha256 == sha256
 
     def test_byte_mode_writes_no_sidecar(self, tmp_path):
         src = tmp_path / "corpus.txt"
@@ -598,13 +607,31 @@ class TestRunBenchWiring:
     @pytest.mark.parametrize("dynamic", [True, False], ids=["dual", "frozen"])
     def test_table_of_another_shape_rejected(self, dynamic):
         tcfg = CacheTableConfig(1, 2, 64, 8)
-        frozen = build_frozen(count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg), tcfg)
         with pytest.raises(ValueError, match="table shape"):
             run_bench(RunConfig(ll=1, fl=3, max_new_tokens=5), [[1, 2, 3, 4]], frozen, dynamic)
 
     def test_frozen_mode_without_table_rejected(self):
         with pytest.raises(ValueError, match="requires a frozen table"):
             run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4]], None, dynamic=False)
+
+    def test_empty_document_named_before_any_task_decodes(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "run_decode", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="task document 1 is empty"):
+            run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3], []])
+        assert calls == []
+
+    @pytest.mark.parametrize("verifier", ["kgram", "replay"])
+    def test_tuple_documents_give_the_rows_of_lists(self, verifier):
+        docs = [[1, 2, 3, 4, 1, 2, 3, 4], [5, 6, 5, 6, 5], [7]]
+        cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, verifier=verifier, max_new_tokens=8)
+        frozen = build_frozen(*count_ngrams(*flat(docs), cfg.table_config()), cfg.table_config())
+        rows = [
+            [{key: value for key, value in row.items() if key != "wall_s"} for row in report.rows]
+            for report in (run_bench(cfg, docs, frozen), run_bench(cfg, [tuple(d) for d in docs], frozen))
+        ]
+        assert rows[0] == rows[1] and len(rows[0]) == 3
 
     def test_no_frozen_table_is_reported_as_dynamic(self):
         report = run_bench(RunConfig(max_new_tokens=5), [[1, 2, 3, 4, 1, 2, 3, 4]])
@@ -616,7 +643,7 @@ class TestRunBenchWiring:
         # No token repeats, so only a table built from the document drafts.
         doc = list(range(40))
         cfg = RunConfig(lc=64, fc=8, tdl=24, crt=4, verifier="replay", max_new_tokens=20)
-        frozen = build_frozen(count_ngrams(*flat([doc]), cfg.table_config()), cfg.table_config())
+        frozen = build_frozen(*count_ngrams(*flat([doc]), cfg.table_config()), cfg.table_config())
         for dynamic, mode in ((True, "dual"), (False, "frozen")):
             report = run_bench(cfg, [doc], frozen, dynamic)
             assert report.config["mode"] == mode

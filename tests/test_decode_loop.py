@@ -259,7 +259,7 @@ class TestReset:
 
     def test_reset_retains_frozen(self):
         tcfg = CacheTableConfig(1, 1, 8, 4)
-        frozen = build_frozen(count_ngrams(*flat([[1, 2, 1, 2]]), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat([[1, 2, 1, 2]]), tcfg), tcfg)
         state = DecodeState.fresh(tcfg, DraftConfig(8, 2), frozen=frozen)
         before = frozen.query((1,))
         reset(state)
@@ -294,7 +294,7 @@ class TestReset:
         frozen = None
         if rng.random() < 0.5:
             tcfg = CacheTableConfig(ll, fl, lc, fc)
-            frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+            frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         doc_a, doc_b = rng.choice(docs), rng.choice(docs)
         prompt_b = doc_b[: rng.randint(1, len(doc_b))]
         max_new = rng.randint(1, 40)
@@ -432,7 +432,7 @@ def test_losslessness_randomized(seed):
     frozen = None
     if use_frozen:
         tcfg = CacheTableConfig(ll, fl, lc, fc)
-        frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
     # The rest of the document with an EOS id that occurs in the text: a step
     # can accept EOS as a drafted node, and must cut its emission there.
     replay = ReplayOracle(len(prompt), docs[0][len(prompt) :], rng.choice(docs[0]))
@@ -482,7 +482,7 @@ def test_step_oracle_equivalence_randomized(seed):
     frozen_map = None
     if rng.random() < 0.5:
         tcfg = CacheTableConfig(ll, fl, lc, fc)
-        frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         frozen_map = naive_frozen_map(docs, ll, fl, lc, fc)
     state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
     reset(state, prompt)
@@ -521,7 +521,7 @@ def test_verifier_calls_are_accepted_plus_one(monkeypatch):
         frozen = None
         if rng.random() < 0.5:
             tcfg = CacheTableConfig(ll, fl, lc, fc)
-            frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+            frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         state = fresh_state(ll, fl, lc, fc, tdl, crt, frozen=frozen)
         reset(state, docs[0][: rng.randint(1, len(docs[0]))])
         for _ in range(rng.randint(1, 8)):

@@ -109,7 +109,7 @@ class TestBuild:
         dynamic = LruCacheTable(tcfg)
         dynamic.insert((0,), (1,))
         corpus = [[1, 2, 2, 2]]
-        frozen = build_frozen(count_ngrams(*flat(corpus), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat(corpus), tcfg), tcfg)
         tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=1))
         # Dynamic adds 1; frozen then grows the chain until tdl is exhausted.
         assert [n.token for n in tree.nodes] == [1, 2, 2, 2]
@@ -123,7 +123,7 @@ class TestBuild:
         dynamic.insert((0,), (1, 2))
         ref.insert((0,), (1, 2))
         docs = [[2, 3, 4]]
-        frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         tree = build_draft_tree([0], 0, dynamic, frozen, DraftConfig(tdl=4, crt=0))
         expected = brute_build_tree([0], 0, ref, naive_frozen_map(docs, 1, 2, 8, 4), 4, 0, 1, 2)
         assert as_tuples(tree) == [(n["token"], n["parent"], n["depth"]) for n in expected]
@@ -142,7 +142,7 @@ class TestBuild:
     def test_mismatched_table_shape_rejected(self):
         tcfg = CacheTableConfig(ll=1, fl=2, lc=8, fc=8)
         dynamic = LruCacheTable(CacheTableConfig(ll=1, fl=3, lc=8, fc=8))
-        frozen = build_frozen(count_ngrams(*flat([[1, 2, 3, 1, 2]]), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat([[1, 2, 3, 1, 2]]), tcfg), tcfg)
         with pytest.raises(ValueError):
             build_draft_tree([1, 2], 0, dynamic, frozen, DraftConfig(4, 0))
 
@@ -189,7 +189,7 @@ def random_setup(rng: random.Random):
             for _ in range(rng.randint(1, 4))
         ]
         tcfg = CacheTableConfig(ll, fl, lc, fc)
-        frozen = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+        frozen = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         frozen_map = naive_frozen_map(docs, ll, fl, lc, fc)
     context = [rng.randrange(pool) for _ in range(rng.randint(0, 12))]
     # Decode-loop-reachable states keep the pending chain within the budget.

@@ -17,7 +17,6 @@ from ngramspec.cache_table import CacheTableConfig
 from ngramspec.frozen_table import (
     FrozenTable,
     FrozenTableLoadError,
-    NGramCounts,
     build_frozen,
     count_ngrams,
 )
@@ -27,7 +26,7 @@ from oracles import cbft_bytes, naive_frozen_map, naive_window_counts, ranked_wi
 
 
 def empty_table(tcfg):
-    return build_frozen(count_ngrams(*flat([]), tcfg), tcfg)
+    return build_frozen(*count_ngrams(*flat([]), tcfg), tcfg)
 
 
 def traced_peak(fn, *args):
@@ -51,32 +50,32 @@ def build_with_ids(tmp_path, monkeypatch, ids):
     cli.cmd_build_table([src], tmp_path / "t.cbft", CacheTableConfig(1, 1, 8, 8))
 
 
-def distinct(counts):
-    """Counted windows as {window tuple: count}."""
-    return dict(zip(map(tuple, counts.windows.tolist()), counts.counts.tolist()))
+def distinct(counted):
+    """Counted ``(windows, counts)`` as {window tuple: count}."""
+    windows, counts = counted
+    return dict(zip(map(tuple, windows.tolist()), counts.tolist()))
 
 
 class TestCountNgrams:
     def test_alternating_doc(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
-        counts = count_ngrams(*flat([[10, 11, 10, 11, 10]]), tcfg)
-        assert counts.windows.tolist() == [[10, 11], [11, 10]]
-        assert counts.counts.tolist() == [2, 2]
+        windows, counts = count_ngrams(*flat([[10, 11, 10, 11, 10]]), tcfg)
+        assert windows.tolist() == [[10, 11], [11, 10]]
+        assert counts.tolist() == [2, 2]
 
     def test_empty_corpus(self):
-        counts = count_ngrams(*flat([]), CacheTableConfig(1, 1, 8, 8))
-        assert counts.windows.shape == (0, 2) and not len(counts.counts)
+        windows, counts = count_ngrams(*flat([]), CacheTableConfig(1, 1, 8, 8))
+        assert windows.shape == (0, 2) and not len(counts)
 
     def test_doc_one_token_short_of_a_window(self):
         tcfg = CacheTableConfig(2, 3, 8, 8)
-        counts = count_ngrams(*flat([[1, 2, 3, 4]]), tcfg)  # needs ll + fl = 5
-        assert not distinct(counts)
+        assert not distinct(count_ngrams(*flat([[1, 2, 3, 4]]), tcfg))  # needs ll + fl = 5
 
     def test_windows_do_not_cross_documents(self):
         tcfg = CacheTableConfig(1, 1, 8, 8)
         assert not distinct(count_ngrams(*flat([[1], [2]]), tcfg))
-        counts = count_ngrams(*flat([[1, 2], [], [3], [4, 5, 6]]), tcfg)
-        assert distinct(counts) == {(1, 2): 1, (4, 5): 1, (5, 6): 1}
+        counted = count_ngrams(*flat([[1, 2], [], [3], [4, 5, 6]]), tcfg)
+        assert distinct(counted) == {(1, 2): 1, (4, 5): 1, (5, 6): 1}
 
     @pytest.mark.parametrize(
         "bad",
@@ -102,8 +101,8 @@ class TestCountNgrams:
 
     def test_u32_extremes_accepted(self):
         top = 2**32 - 1
-        counts = count_ngrams(*flat([[0, top, 0, top]]), CacheTableConfig(2, 2, 8, 8))
-        assert distinct(counts) == {(0, top, 0, top): 1}
+        counted = count_ngrams(*flat([[0, top, 0, top]]), CacheTableConfig(2, 2, 8, 8))
+        assert distinct(counted) == {(0, top, 0, top): 1}
 
     def test_peak_memory_per_token(self):
         # An int64 packed key per token (8 bytes), its run-head mask (1 byte)
@@ -122,31 +121,31 @@ class TestCountNgrams:
         # keys are alive peak at 46.8 bytes a token.
         docs = diverse_docs()
         n_tokens = sum(map(len, docs))
-        counts, peak = traced_peak(count_ngrams, *flat(docs), CacheTableConfig(1, 3, 8, 8))
-        assert len(counts.windows) >= 0.95 * n_tokens
+        (windows, _), peak = traced_peak(count_ngrams, *flat(docs), CacheTableConfig(1, 3, 8, 8))
+        assert len(windows) >= 0.95 * n_tokens
         assert peak / n_tokens <= 33
 
     def test_counted_windows_take_24_bytes_each(self):
         # Four u32 ids and an int64 count; int64 ids would take 40 bytes.
-        counts = count_ngrams(*flat(diverse_docs()), CacheTableConfig(1, 3, 8, 8))
-        assert counts.windows.dtype == np.uint32
-        assert (counts.windows.nbytes + counts.counts.nbytes) / len(counts.windows) == 24
+        windows, counts = count_ngrams(*flat(diverse_docs()), CacheTableConfig(1, 3, 8, 8))
+        assert windows.dtype == np.uint32
+        assert (windows.nbytes + counts.nbytes) / len(windows) == 24
 
 
 class TestBuildFrozen:
     def test_top_one_follower(self):
         tcfg = CacheTableConfig(1, 1, 8, 1)
-        table = build_frozen(count_ngrams(*flat([[1, 2]] * 3 + [[1, 3]]), tcfg), tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 2]] * 3 + [[1, 3]]), tcfg), tcfg)
         assert table.query((1,)) == ((2,),)
 
     def test_tie_breaks_by_token_order(self):
         tcfg = CacheTableConfig(1, 1, 8, 2)
-        table = build_frozen(count_ngrams(*flat([[1, 5], [1, 5], [1, 3], [1, 3]]), tcfg), tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 5], [1, 5], [1, 3], [1, 3]]), tcfg), tcfg)
         assert table.query((1,)) == ((3,), (5,))
 
     def test_leader_capacity_keeps_most_frequent(self):
         tcfg = CacheTableConfig(1, 1, 1, 4)
-        table = build_frozen(count_ngrams(*flat([[1, 9]] * 5 + [[2, 9]] * 3), tcfg), tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 9]] * 5 + [[2, 9]] * 3), tcfg), tcfg)
         assert len(table.entries) == 1
         assert table.query((1,)) == ((9,),)
         assert table.query((2,)) == ()
@@ -157,18 +156,18 @@ class TestBuildFrozen:
         # would keep (5, 6), which is ranked past fc.
         tcfg = CacheTableConfig(1, 2, 8, 2)
         docs = [[1, 2, 3]] * 3 + [[1, 2, 4]] * 2 + [[1, 5, 6]]
-        table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+        table = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
         assert table.query((1,)) == ((2, 3),)
         wider = CacheTableConfig(1, 2, 8, 3)
-        assert build_frozen(count_ngrams(*flat(docs), wider), wider).query((1,)) == ((2, 3), (5, 6))
+        assert build_frozen(*count_ngrams(*flat(docs), wider), wider).query((1,)) == ((2, 3), (5, 6))
 
     def test_peak_memory_per_window(self):
         # Ranking holds int32 window indices and one int64 sort key; int64
         # indices peak at 77.7 bytes a window above the input.
         tcfg = CacheTableConfig(1, 3, 8, 8)
-        counts = count_ngrams(*flat(diverse_docs()), tcfg)
-        _, peak = traced_peak(build_frozen, counts, tcfg)
-        assert peak / len(counts.windows) <= 52
+        windows, counts = count_ngrams(*flat(diverse_docs()), tcfg)
+        _, peak = traced_peak(build_frozen, windows, counts, tcfg)
+        assert peak / len(windows) <= 52
 
     def test_sort_key_does_not_overflow(self):
         # group * (max count + 1) passes 2**31 from about the 2,048th leader
@@ -179,15 +178,15 @@ class TestBuildFrozen:
         counts = [2**20 - rng.randrange(1000) for _ in windows]
         counts[1] = 2**40 + 3
         tcfg = CacheTableConfig(1, 1, 60_000, 2)
-        table = build_frozen(NGramCounts(np.array(windows, np.uint32), np.array(counts)), tcfg)
+        table = build_frozen(np.array(windows, np.uint32), np.array(counts), tcfg)
         expected = ranked_window_map(windows, counts, 1, 60_000, 2, stored=True)
         assert {k: list(v) for k, v in table.entries.items()} == expected
         assert list(table.entries) == list(expected)
 
     def test_counts_of_another_shape_rejected(self):
-        counts = count_ngrams(*flat([[1, 2, 3]]), CacheTableConfig(1, 2, 8, 8))
+        counted = count_ngrams(*flat([[1, 2, 3]]), CacheTableConfig(1, 2, 8, 8))
         with pytest.raises(ValueError):
-            build_frozen(counts, CacheTableConfig(1, 1, 8, 8))
+            build_frozen(*counted, CacheTableConfig(1, 1, 8, 8))
 
 
 class TestQueryFrozen:
@@ -197,8 +196,7 @@ class TestQueryFrozen:
 
     def test_repeated_queries_identical(self):
         tcfg = CacheTableConfig(1, 2, 4, 4)
-        counts = count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg)
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 2, 3, 1, 2, 3]]), tcfg), tcfg)
         first = table.query((1,))
         second = table.query((1,))
         assert first == second == ((2, 3),)
@@ -213,8 +211,7 @@ class TestSerialization:
 
     def test_round_trip_identity(self, tmp_path):
         tcfg = CacheTableConfig(2, 2, 8, 4)
-        counts = count_ngrams(*flat([[1, 2, 3, 4, 1, 2, 3, 4, 5, 6]]), tcfg)
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 2, 3, 4, 1, 2, 3, 4, 5, 6]]), tcfg), tcfg)
         path = tmp_path / "table.cbft"
         table.save(path)
         loaded = FrozenTable.load(path)
@@ -226,6 +223,13 @@ class TestSerialization:
         sink = io.BytesIO()
         loaded.save(sink)
         assert sink.getvalue() == path.read_bytes()
+
+    def test_save_returns_the_bytes_written(self, tmp_path):
+        tcfg = CacheTableConfig(2, 2, 8, 4)
+        table = build_frozen(*count_ngrams(*flat([[1, 2, 3, 4, 1, 2, 3, 4, 5, 6]]), tcfg), tcfg)
+        path, sink = tmp_path / "table.cbft", io.BytesIO()
+        assert table.save(path) == path.read_bytes()
+        assert table.save(sink) == sink.getvalue() == path.read_bytes()
 
     def test_corrupted_magic_rejected(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))
@@ -247,8 +251,7 @@ class TestSerialization:
 
     def test_truncation_reports_offset(self):
         tcfg = CacheTableConfig(1, 1, 4, 4)
-        counts = count_ngrams(*flat([[1, 2, 1, 2]]), tcfg)
-        table = build_frozen(counts, tcfg)
+        table = build_frozen(*count_ngrams(*flat([[1, 2, 1, 2]]), tcfg), tcfg)
         sink = io.BytesIO()
         table.save(sink)
         data = sink.getvalue()[:-3]
@@ -341,7 +344,7 @@ class TestSerialization:
         docs = [[3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [1, 4, 1, 4, 2, 1, 4]]
         blobs = []
         for _ in range(2):
-            table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+            table = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
             sink = io.BytesIO()
             table.save(sink)
             blobs.append(sink.getvalue())
@@ -361,9 +364,9 @@ def test_u32_array_documents_count_as_lists(docs, ll, fl):
     them, count as the same ids in per-document lists do: empty, short and
     extreme-id documents too.  Counting reads the array and leaves it as it was."""
     ids, ends = flat(docs)
-    counts = count_ngrams(ids, ends, CacheTableConfig(ll, fl, 8, 8))
-    assert counts.windows.dtype == np.uint32
-    assert distinct(counts) == naive_window_counts(docs, ll + fl)
+    counted = count_ngrams(ids, ends, CacheTableConfig(ll, fl, 8, 8))
+    assert counted[0].dtype == np.uint32
+    assert distinct(counted) == naive_window_counts(docs, ll + fl)
     assert ids.tolist() == [token for doc in docs for token in doc]
     ids.append(0)  # no view of the array outlives counting
 
@@ -380,7 +383,7 @@ def test_top_k_matches_naive_sorter(seed):
         for _ in range(rng.randint(1, 5))
     ]
     tcfg = CacheTableConfig(ll, fl, lc, fc)
-    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+    table = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
     expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     # Leader storage order is frequency-descending with lexicographic ties.
@@ -398,7 +401,7 @@ def test_built_table_equals_its_round_trip(seed):
         for _ in range(rng.randint(0, 4))
     ]
     tcfg = CacheTableConfig(ll, fl, 2**20, fc)
-    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+    table = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
     sink = io.BytesIO()
     table.save(sink)
     loaded = FrozenTable.load(sink.getvalue())
@@ -424,7 +427,7 @@ def test_wide_ids_and_long_windows_match_naive_sorter(seed):
             doc.extend(motif if rng.random() < 0.5 else rng.choices(alphabet, k=rng.randint(0, 5)))
         docs.append(doc)
     tcfg = CacheTableConfig(ll, fl, lc, fc)
-    table = build_frozen(count_ngrams(*flat(docs), tcfg), tcfg)
+    table = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
     expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     assert list(table.entries) == list(expected)
