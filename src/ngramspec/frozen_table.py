@@ -16,6 +16,11 @@ token with (a draft tree hangs one follower per first token), in descending
 frequency.  Ties break by ascending lexicographic token-id order so rebuilds
 are byte-identical.  Loading rejects a leader with two same-first-token followers.
 
+Entries are read-only tuples, and a built or loaded table holds each distinct
+follower once: equal followers, under however many leaders, are one shared
+tuple, and equal token ids, in leaders and followers, one shared int.  Equal
+rows are found by sorting packed int64 row keys before any tuple is made.
+
 Serialization format (CBFT), all integers little-endian:
 
     magic          4 bytes  b"CBFT"
@@ -37,7 +42,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -77,24 +82,8 @@ def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> tuple[np.nd
     if n_windows <= 0:
         return np.zeros((0, width), np.uint32), np.zeros(0, np.int64)
 
-    # Pack window i into key[i] = sum(ids[i + c] * base**(width-1-c)), so
-    # that sorting keys orders windows lexicographically.  Before a fold
-    # could pass 2**63, the keys are replaced by their dense ranks (np.unique
-    # keeps their order), and ``prefix`` maps each rank back to the tokens
-    # folded so far.
     base = int(ids.max()) + 1
-    key = ids[:n_windows].astype(np.int64)
-    prefix = np.zeros((1, 0), np.uint32)
-    bound = base  # every key is below it
-    for c in range(1, width):
-        if bound * base > 2**63:
-            ranked, key = np.unique(key, return_inverse=True)
-            prefix = _unpack(ranked, prefix, base, c - prefix.shape[1])
-            bound = len(prefix)
-            del ranked
-        key *= base
-        key += ids[c : c + n_windows]
-        bound *= base
+    key, prefix = _pack([ids[c : c + n_windows] for c in range(width)], base)
     # The windows starting at e - width + 1 ... e - 1 cross the document end
     # e (a cumulative length); their keys become -1 and sort first.
     for back in range(1, width):
@@ -114,6 +103,28 @@ def count_ngrams(ids: array, ends: array, tcfg: CacheTableConfig) -> tuple[np.nd
     return _unpack(key, prefix, base, width - prefix.shape[1]), counts
 
 
+def _pack(columns: Sequence[np.ndarray], base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 keys of the rows whose u32 tokens, all below ``base``, are the
+    equal-length ``columns``, and the ``prefix`` table that ``_unpack`` reads
+    them back with.  Row i's key is sum(columns[c][i] * base**(k-1-c)), so
+    sorting keys orders rows lexicographically.  Before a fold could pass
+    2**63, the keys are replaced by their dense ranks (np.unique keeps their
+    order), and ``prefix`` maps each rank back to the tokens folded so far."""
+    key = columns[0].astype(np.int64)
+    prefix = np.zeros((1, 0), np.uint32)
+    bound = base  # every key is below it
+    for c in range(1, len(columns)):
+        if bound * base > 2**63:
+            ranked, key = np.unique(key, return_inverse=True)
+            prefix = _unpack(ranked, prefix, base, c - prefix.shape[1])
+            bound = len(prefix)
+            del ranked
+        key *= base
+        key += columns[c]
+        bound *= base
+    return key, prefix
+
+
 def _unpack(keys: np.ndarray, prefix: np.ndarray, base: int, k: int) -> np.ndarray:
     """The u32 token columns of packed int64 ``keys`` (consumed): the last
     ``k`` radix-``base`` digits are tokens, the leading part is a row index
@@ -131,7 +142,9 @@ class FrozenTable:
     """Read-only leader -> followers map, frequency-descending.
 
     ``entries`` preserves the frequency order of leaders; queries never
-    mutate state, so one table can be shared by concurrent readers.
+    mutate state, so one table can be shared by concurrent readers.  In a
+    built or loaded table, equal followers are one shared tuple and equal ids
+    one shared int; the tuples are immutable, so sharing them is safe.
     """
 
     config: CacheTableConfig
@@ -192,22 +205,58 @@ def build_frozen(windows: np.ndarray, counts: np.ndarray, tcfg: CacheTableConfig
     del rank
     kept = kept[np.arange(len(kept), dtype=index) - starts[group] < tcfg.fc]
     # Rank first, then keep only the best-ranked kept window of each run of
-    # sorted windows that share a leader and a first follower token.
+    # sorted windows that share a leader and a first follower token: the one
+    # at the run's first position in rank order.
     run = np.cumsum(new_leader | np.r_[True, windows[1:, ll] != windows[:-1, ll]], dtype=index)
-    kept = kept[np.sort(np.unique(run[kept], return_index=True)[1])]
+    first = np.full(int(run[-1]) + 1, len(kept), index)
+    run = run[kept]
+    at = np.arange(len(kept), dtype=index)
+    np.minimum.at(first, run, at)
+    kept = kept[first[run] == at]
+    del run, at, first
     in_top = np.zeros(len(starts), bool)
     in_top[top] = True
     kept = kept[in_top[group[kept]]]  # only the returned leaders' followers become tuples
     sizes = np.bincount(group[kept], minlength=len(starts))
     ends = np.cumsum(sizes)
     begins = ends - sizes
-    leaders = zip(*windows[starts[top], :ll].T.tolist())
-    followers = list(zip(*windows[kept, ll:].T.tolist()))
-    entries = {
-        leader: tuple(followers[b:e])
-        for leader, b, e in zip(leaders, begins[top].tolist(), ends[top].tolist())
-    }
+    entries = _entries(
+        windows[starts[top], :ll], windows[kept, ll:], begins[top].tolist(), ends[top].tolist()
+    )
     return FrozenTable(config=replace(tcfg, lc=len(entries)), entries=entries)
+
+
+def _entries(
+    leaders: np.ndarray, followers: np.ndarray, begins: list[int], ends: list[int]
+) -> dict[Leader, tuple[Follower, ...]]:
+    """The entries made from u32 rows, in order: leader ``i`` is row ``i`` of
+    ``leaders``, and its followers are rows ``begins[i]:ends[i]`` of
+    ``followers``.  Equal follower rows become one shared tuple and equal ids
+    one shared int, leaders' ids included, so a table holds each distinct
+    follower and id once, however many leaders list it."""
+    ll, fl = leaders.shape[1], followers.shape[1]
+    rows, row_of = followers, np.zeros(0, np.intp)
+    if len(followers):  # the distinct follower rows, found on packed keys
+        base = int(followers.max()) + 1
+        key, prefix = _pack(followers.T, base)
+        key, row_of = np.unique(key, return_inverse=True)
+        rows = _unpack(key, prefix, base, fl - prefix.shape[1])
+    ids, id_of = np.unique(np.concatenate([leaders.ravel(), rows.ravel()]), return_inverse=True)
+    shared = np.array(ids.tolist(), object)[id_of]  # one int per distinct id
+    del rows, ids, id_of
+    distinct = _tuples(shared[leaders.size :], fl)
+    shared_rows = np.fromiter(distinct, object, len(distinct))[row_of].tolist()
+    del distinct, row_of
+    return {
+        leader: tuple(shared_rows[b:e])
+        for leader, b, e in zip(_tuples(shared[: leaders.size], ll), begins, ends)
+    }
+
+
+def _tuples(flat: np.ndarray, k: int) -> list[tuple]:
+    """The objects of ``flat`` as tuples of ``k``.  No objects make no tuples,
+    as the columns of an empty (0, k) array would make k empty lists."""
+    return list(zip(*flat.reshape(-1, k).T.tolist())) if len(flat) else []
 
 
 def _encode(table: FrozenTable) -> bytes:
@@ -243,32 +292,52 @@ def _parse(data: bytes) -> FrozenTable:
     except ValueError as exc:
         raise FrozenTableLoadError(f"invalid table shape: {exc}", 8) from exc
 
+    # Entries are walked one by one and every check but the first-token rule
+    # runs as each is read; that rule runs on all complete entries at once,
+    # and an entry it rejects is reported before a later entry's fault.
     head = struct.Struct(f"<{ll + 1}I")  # leader tokens, follower count
-    entries: dict[Leader, tuple[Follower, ...]] = {}
-    for _ in range(leader_count):
-        at = offset
-        if offset + head.size > len(data):
-            raise FrozenTableLoadError("truncated entry", len(data))
-        *leader, n_followers = head.unpack_from(data, offset)
-        offset += head.size
-        if n_followers > fc:
-            raise FrozenTableLoadError(
-                f"follower count {n_followers} exceeds fc={fc}", at
-            )
-        width = 4 * fl * n_followers
-        if offset + width > len(data):
-            raise FrozenTableLoadError("truncated entry", len(data))
-        tokens = struct.unpack_from(f"<{fl * n_followers}I", data, offset)
-        offset += width
-        leader = tuple(leader)
-        if leader in entries:
-            raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
-        if len(set(tokens[::fl])) != n_followers:
-            raise FrozenTableLoadError(
-                f"leader {leader!r} lists two followers with the same first token; rebuild the table", at
-            )
-        # zip's argument list holds fl iterators, so skip it when none are stored.
-        entries[leader] = tuple(zip(*[iter(tokens)] * fl)) if n_followers else ()
-    if offset != len(data):
-        raise FrozenTableLoadError("trailing bytes after last leader", offset)
+    view = memoryview(data)
+    at_of: dict[Leader, int] = {}  # leader -> the offset of its entry
+    leader_words, follower_words, sizes = bytearray(), bytearray(), array("q")
+    fault = None
+    try:
+        for _ in range(leader_count):
+            at = offset
+            if offset + head.size > len(data):
+                raise FrozenTableLoadError("truncated entry", len(data))
+            *leader, n_followers = head.unpack_from(data, offset)
+            offset += head.size
+            if n_followers > fc:
+                raise FrozenTableLoadError(f"follower count {n_followers} exceeds fc={fc}", at)
+            width = 4 * fl * n_followers
+            if offset + width > len(data):
+                raise FrozenTableLoadError("truncated entry", len(data))
+            leader = tuple(leader)
+            if leader in at_of:
+                raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
+            at_of[leader] = at
+            leader_words += view[at : at + 4 * ll]
+            follower_words += view[offset : offset + width]
+            sizes.append(n_followers)
+            offset += width
+        if offset != len(data):
+            raise FrozenTableLoadError("trailing bytes after last leader", offset)
+    except FrozenTableLoadError as exc:
+        fault = exc  # raised once the complete entries before it pass the first-token rule
+
+    leaders = np.frombuffer(leader_words, "<u4").reshape(len(sizes), ll)
+    followers = np.frombuffer(follower_words, "<u4").reshape(sum(sizes), fl)
+    # (entry, first token) keys, sorted: a repeated key is a clash.
+    key = np.sort(np.repeat(np.arange(len(sizes), dtype=np.int64), sizes) * 2**32 + followers[:, 0])
+    clash = key[1:][key[1:] == key[:-1]] >> 32
+    if len(clash):
+        leader, at = list(at_of.items())[int(clash.min())]
+        raise FrozenTableLoadError(
+            f"leader {leader!r} lists two followers with the same first token; rebuild the table", at
+        )
+    if fault is not None:
+        raise fault
+    del at_of, key, clash
+    ends = np.cumsum(sizes)
+    entries = _entries(leaders, followers, (ends - sizes).tolist(), ends.tolist())
     return FrozenTable(config=config, entries=entries)

@@ -220,6 +220,51 @@ MUTANTS = [
         "vocab.table_sha256 = hashlib.sha256(data[:-1]).hexdigest()",
     ),
     ("save-returns-other-bytes", FROZEN, "        return data\n", "        return data[:-1]\n"),
+    (
+        "run-mark-keeps-last",
+        FROZEN,
+        "len(kept), index)\n    run = run[kept]\n    at = np.arange(len(kept), dtype=index)\n"
+        "    np.minimum.at(",
+        "-1, index)\n    run = run[kept]\n    at = np.arange(len(kept), dtype=index)\n"
+        "    np.maximum.at(",
+    ),
+    (
+        "follower-pool-keyed-by-first-token",
+        FROZEN,
+        "_pack(followers.T, base)",
+        "_pack(followers.T[:1], base)",
+    ),
+    (
+        "id-pool-skipped",
+        FROZEN,
+        "np.array(ids.tolist(), object)[id_of]",
+        "np.array(ids[id_of].tolist(), object)",
+    ),
+    (
+        "leader-ids-not-pooled",
+        FROZEN,
+        "zip(_tuples(shared[: leaders.size], ll), begins, ends)",
+        "zip(map(tuple, leaders.tolist()), begins, ends)",
+    ),
+    (
+        "load-skips-the-pool",
+        FROZEN,
+        "entries = _entries(leaders, followers, (ends - sizes).tolist(), ends.tolist())",
+        "entries = {tuple(leader): tuple(map(tuple, followers[b:e].tolist())) for leader, b, e"
+        " in zip(leaders.tolist(), (ends - sizes).tolist(), ends.tolist())}",
+    ),
+    (
+        "clash-key-ignores-entry",
+        FROZEN,
+        "np.repeat(np.arange(len(sizes), dtype=np.int64), sizes) * 2**32 + followers[:, 0]",
+        "followers[:, 0].astype(np.int64)",
+    ),
+    (
+        "fault-raised-before-earlier-clash",
+        FROZEN,
+        "        fault = exc  #",
+        "        raise  #",
+    ),
 ]
 
 

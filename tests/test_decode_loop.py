@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,9 @@ from oracles import (
     RefLruTable,
     SimDecoder,
     brute_kgram_next,
+    brute_max_depth,
     greedy_reference,
+    linear_accept,
     naive_frozen_map,
     peek,
     snapshot,
@@ -336,6 +339,38 @@ class TestDecodeStep:
             engine_emitted = state.committed[before:]
             assert engine_emitted == sim.step(oracle, UNCAPPED)
             assert metrics.emitted == len(engine_emitted)
+
+    def test_each_metric_counts_what_its_step_did(self, monkeypatch):
+        # drafted is the step tree's node count and longest_branch its
+        # deepest branch; accepted and emitted count what the walk appended,
+        # recomputed by the rescanning walk of the oracles.
+        trees = []
+
+        def recorded(*args):
+            trees.append(build_draft_tree(*args))
+            return trees[-1]
+
+        monkeypatch.setattr(decode_loop, "build_draft_tree", recorded)
+        rows = []
+        for seed in range(10):
+            rng = random.Random(40_000 + seed)
+            docs = random_docs(rng)
+            verifier = KGramVerifier(rng.randint(1, 3), docs)
+            state = fresh_state(*random_configs(rng))
+            reset(state, docs[0][: rng.randint(1, len(docs[0]))])
+            for _ in range(4):
+                before = list(state.committed)
+                metrics = decode_step(state, verifier, UNCAPPED)
+                nodes = list(trees[-1].nodes)
+                path, bonus = linear_accept(nodes, before, verifier.greedy_next)
+                assert state.committed[len(before) :] == [nodes[i].token for i in path] + [bonus]
+                assert metrics.drafted == len(nodes)
+                assert metrics.longest_branch == brute_max_depth(nodes)
+                assert metrics.accepted == len(path)
+                assert metrics.emitted == len(path) + 1
+                rows.append((metrics.drafted, metrics.longest_branch, metrics.accepted, metrics.emitted))
+        # No two fields agree on every step, so a swap of two would fail above.
+        assert all(a != b for a, b in combinations(zip(*rows), 2))
 
 
 class TestRunDecode:

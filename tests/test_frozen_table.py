@@ -42,6 +42,26 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def traced_size(fn, *args):
+    """``fn(*args)`` and the traced memory it left allocated, its result's."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def assert_shared(table):
+    """Each distinct follower of ``table`` is one tuple, and each distinct
+    id, in leaders and followers, one int."""
+    followers = [f for fs in table.entries.values() for f in fs]
+    ids = [t for f in followers for t in f] + [t for leader in table.entries for t in leader]
+    assert len({id(f) for f in followers}) == len(set(followers))
+    assert len({id(t) for t in ids}) == len(set(ids))
+
+
 def build_with_ids(tmp_path, monkeypatch, ids):
     """Build ``t.cbft`` from a one-line corpus that tokenizes to ``ids``."""
     src = tmp_path / "corpus.txt"
@@ -162,12 +182,15 @@ class TestBuildFrozen:
         assert build_frozen(*count_ngrams(*flat(docs), wider), wider).query((1,)) == ((2, 3), (5, 6))
 
     def test_peak_memory_per_window(self):
-        # Ranking holds int32 window indices and one int64 sort key; int64
-        # indices peak at 77.7 bytes a window above the input.
+        # Ranking peaks at 29.0 bytes a window above the input while it marks
+        # each run's first window (int32 run ids, positions, per-run minima
+        # and their gather, beside int32 group ids and indices), and at 28.1
+        # in the stable argsort of the int64 sort key.  Marking with
+        # np.unique peaked at 48.8 bytes a window, and int64 indices at 77.7.
         tcfg = CacheTableConfig(1, 3, 8, 8)
         windows, counts = count_ngrams(*flat(diverse_docs()), tcfg)
         _, peak = traced_peak(build_frozen, windows, counts, tcfg)
-        assert peak / len(windows) <= 52
+        assert peak / len(windows) <= 32
 
     def test_sort_key_does_not_overflow(self):
         # group * (max count + 1) passes 2**31 from about the 2,048th leader
@@ -187,6 +210,34 @@ class TestBuildFrozen:
         counted = count_ngrams(*flat([[1, 2, 3]]), CacheTableConfig(1, 2, 8, 8))
         with pytest.raises(ValueError):
             build_frozen(*counted, CacheTableConfig(1, 1, 8, 8))
+
+
+class TestSharedObjects:
+    def test_built_and_loaded_tables_share_equal_followers_and_ids(self):
+        # Phrase ends lead into the next phrase's start, so one follower
+        # follows many leaders; ids run to 400, past the ints CPython caches.
+        docs = repetitive_docs(n_docs=500)
+        tcfg = CacheTableConfig(1, 3, 2**20, 128)
+        built = build_frozen(*count_ngrams(*flat(docs), tcfg), tcfg)
+        loaded = FrozenTable.load(built.save(io.BytesIO()))
+        expected = naive_frozen_map(docs, 1, 3, 2**20, 128, stored=True)
+        for table in (built, loaded):
+            assert {k: list(v) for k, v in table.entries.items()} == expected
+            assert list(table.entries) == list(expected)
+            followers = [f for fs in table.entries.values() for f in fs]
+            assert len(followers) > 3 * len(set(followers))
+            assert max(max(f) for f in followers) > 256
+            assert_shared(table)
+
+    def test_loaded_table_bytes_per_follower(self):
+        # A follower costs its 8-byte slot in its leader's tuple plus its
+        # share of one 64-byte tuple per distinct follower (399 for 2,545
+        # followers) and of each leader's tuples and dict slot: 32.9 bytes.
+        # A tuple and its own ints per follower took 111.4 bytes.
+        tcfg = CacheTableConfig(1, 3, 2**20, 128)
+        data = build_frozen(*count_ngrams(*flat(repetitive_docs()), tcfg), tcfg).save(io.BytesIO())
+        table, size = traced_size(FrozenTable.load, data)
+        assert size / sum(map(len, table.entries.values())) <= 36
 
 
 class TestQueryFrozen:
@@ -298,6 +349,25 @@ class TestSerialization:
         with pytest.raises(FrozenTableLoadError, match="truncated entry") as err:
             FrozenTable.load(data)
         assert err.value.offset == len(data)
+
+    @pytest.mark.parametrize(
+        "later, cut",
+        [
+            ([((1,), ((2, 3),))], 3),
+            ([((1,), ((2, 3), (4, 5), (6, 7)))], 0),  # fc=2
+            ([((1,), ()), ((7,), ((2, 3),))], 0),
+            ([((1,), ())], -1),
+        ],
+        ids=["truncated", "count-above-fc", "duplicate-leader", "trailing-bytes"],
+    )
+    def test_first_token_clash_reported_before_a_later_fault(self, later, cut):
+        # The first entry repeats first token 8; ``cut`` bytes come off the
+        # end, or, at -1, one byte is added.
+        data = cbft_bytes([((7,), ((8, 9), (8, 1))), *later], 1, 2, 2)
+        data = data[: len(data) - cut] if cut >= 0 else data + b"\x00"
+        with pytest.raises(FrozenTableLoadError, match="same first token") as err:
+            FrozenTable.load(data)
+        assert err.value.offset == 28  # the first entry
 
     def test_follower_count_above_fc_rejected_at_its_entry(self):
         data = cbft_bytes([((7,), ((8,),)), ((1,), ((2,), (3,)))], 1, 1, 1)
@@ -431,3 +501,7 @@ def test_wide_ids_and_long_windows_match_naive_sorter(seed):
     expected = naive_frozen_map(docs, ll, fl, lc, fc, stored=True)
     assert {k: list(v) for k, v in table.entries.items()} == expected
     assert list(table.entries) == list(expected)
+    loaded = FrozenTable.load(table.save(io.BytesIO()))
+    assert loaded == table
+    assert_shared(table)
+    assert_shared(loaded)
