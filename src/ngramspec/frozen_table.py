@@ -156,8 +156,9 @@ class FrozenTable:
 
     def save(self, sink: str | Path | BinaryIO) -> bytes:
         """Write the table in the CBFT format described in the module docs to
-        a path or a file sink, and return the bytes written.  Every entry is
-        checked before anything is written."""
+        a path or a file sink, and return the bytes written.  Each entry's
+        lengths, follower count and u32 ids are checked first, so a bad entry
+        writes nothing; the first-token rule, a set per entry, is left to load."""
         data = _encode(self)
         if hasattr(sink, "write"):
             sink.write(data)  # type: ignore[union-attr]
@@ -270,15 +271,23 @@ def _encode(table: FrozenTable) -> bytes:
         if any(map(fl.__ne__, map(len, followers))):
             bad = next(f for f in followers if len(f) != fl)
             raise ValueError(f"follower {bad!r} does not have length fl={fl}")
+        if len(followers) > cfg.fc:
+            raise ValueError(f"leader {leader!r} has {len(followers)} followers, more than fc={cfg.fc}")
         # One entry: leader tokens, follower count, follower tokens.
-        words.extend(leader)
-        words.append(len(followers))
-        words.extend(chain.from_iterable(followers))
+        try:
+            words.extend(leader)
+            words.append(len(followers))
+            words.extend(chain.from_iterable(followers))
+        except OverflowError as exc:
+            raise ValueError(f"leader {leader!r}: token ids must be in [0, 2**32): {exc}") from exc
     header = _HEADER.pack(_MAGIC, _VERSION, ll, fl, len(table.entries), cfg.fc)
     return header + np.asarray(words, "<u4").tobytes()
 
 
 def _parse(data: bytes) -> FrozenTable:
+    """The table in CBFT ``data``, read in one walk that checks each entry
+    where it stands, in file order, and raises :class:`FrozenTableLoadError`
+    at the first fault's offset."""
     if len(data) < _HEADER.size:
         raise FrozenTableLoadError("truncated header", len(data))
     magic, version, ll, fl, leader_count, fc = _HEADER.unpack_from(data, 0)
@@ -292,52 +301,41 @@ def _parse(data: bytes) -> FrozenTable:
     except ValueError as exc:
         raise FrozenTableLoadError(f"invalid table shape: {exc}", 8) from exc
 
-    # Entries are walked one by one and every check but the first-token rule
-    # runs as each is read; that rule runs on all complete entries at once,
-    # and an entry it rejects is reported before a later entry's fault.
     head = struct.Struct(f"<{ll + 1}I")  # leader tokens, follower count
     view = memoryview(data)
-    at_of: dict[Leader, int] = {}  # leader -> the offset of its entry
+    # The file's u32 words in host byte order, for the first-token rule:
+    # byte order cannot change whether two tokens are distinct.
+    words = view[: len(data) // 4 * 4].cast("I")
+    seen: set[Leader] = set()
     leader_words, follower_words, sizes = bytearray(), bytearray(), array("q")
-    fault = None
-    try:
-        for _ in range(leader_count):
-            at = offset
-            if offset + head.size > len(data):
-                raise FrozenTableLoadError("truncated entry", len(data))
-            *leader, n_followers = head.unpack_from(data, offset)
-            offset += head.size
-            if n_followers > fc:
-                raise FrozenTableLoadError(f"follower count {n_followers} exceeds fc={fc}", at)
-            width = 4 * fl * n_followers
-            if offset + width > len(data):
-                raise FrozenTableLoadError("truncated entry", len(data))
-            leader = tuple(leader)
-            if leader in at_of:
-                raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
-            at_of[leader] = at
-            leader_words += view[at : at + 4 * ll]
-            follower_words += view[offset : offset + width]
-            sizes.append(n_followers)
-            offset += width
-        if offset != len(data):
-            raise FrozenTableLoadError("trailing bytes after last leader", offset)
-    except FrozenTableLoadError as exc:
-        fault = exc  # raised once the complete entries before it pass the first-token rule
-
+    for _ in range(leader_count):
+        at = offset
+        if offset + head.size > len(data):
+            raise FrozenTableLoadError("truncated entry", len(data))
+        *leader, n_followers = head.unpack_from(data, offset)
+        offset += head.size
+        if n_followers > fc:
+            raise FrozenTableLoadError(f"follower count {n_followers} exceeds fc={fc}", at)
+        width = 4 * fl * n_followers
+        if offset + width > len(data):
+            raise FrozenTableLoadError("truncated entry", len(data))
+        leader = tuple(leader)
+        if leader in seen:
+            raise FrozenTableLoadError(f"duplicate leader {leader!r}", at)
+        seen.add(leader)
+        if n_followers > 1 and len(set(words[offset // 4 : (offset + width) // 4 : fl])) < n_followers:
+            raise FrozenTableLoadError(
+                f"leader {leader!r} lists two followers with the same first token; rebuild the table", at
+            )
+        leader_words += view[at : at + 4 * ll]
+        follower_words += view[offset : offset + width]
+        sizes.append(n_followers)
+        offset += width
+    if offset != len(data):
+        raise FrozenTableLoadError("trailing bytes after last leader", offset)
+    del seen
     leaders = np.frombuffer(leader_words, "<u4").reshape(len(sizes), ll)
     followers = np.frombuffer(follower_words, "<u4").reshape(sum(sizes), fl)
-    # (entry, first token) keys, sorted: a repeated key is a clash.
-    key = np.sort(np.repeat(np.arange(len(sizes), dtype=np.int64), sizes) * 2**32 + followers[:, 0])
-    clash = key[1:][key[1:] == key[:-1]] >> 32
-    if len(clash):
-        leader, at = list(at_of.items())[int(clash.min())]
-        raise FrozenTableLoadError(
-            f"leader {leader!r} lists two followers with the same first token; rebuild the table", at
-        )
-    if fault is not None:
-        raise fault
-    del at_of, key, clash
     ends = np.cumsum(sizes)
     entries = _entries(leaders, followers, (ends - sizes).tolist(), ends.tolist())
     return FrozenTable(config=config, entries=entries)

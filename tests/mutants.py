@@ -6,13 +6,14 @@ directory, replaces the old text, which must occur exactly once in its file,
 and runs tier-1 there with ``-x``: first its module's own test files,
 ``tests/test_<module>*.py``, and the whole of tier-1 only if those pass.  A
 mutant that passes the whole suite survived: some behaviour has no test.
-Run from the repository root:
+Run from the repository root, for every mutant or only the named ones:
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py [NAME ...]
 
 Before any mutant runs, every old text is checked and the unmutated suite is
 run once.  Exits 1 if an old text is not found exactly once, the unmutated
-suite fails, or a mutant survives.  Tier-1 does not collect this file.
+suite fails, or a mutant survives, and 2, listing the valid names, if a name
+is unknown.  Tier-1 does not collect this file.
 
 A surviving mutant asks for a test, not for the mutant's removal.  A change
 that moves a mutant's text updates the mutant.
@@ -254,16 +255,29 @@ MUTANTS = [
         " in zip(leaders.tolist(), (ends - sizes).tolist(), ends.tolist())}",
     ),
     (
-        "clash-key-ignores-entry",
+        "first-token-slice-stride-one",
         FROZEN,
-        "np.repeat(np.arange(len(sizes), dtype=np.int64), sizes) * 2**32 + followers[:, 0]",
-        "followers[:, 0].astype(np.int64)",
+        "(offset + width) // 4 : fl]",
+        "(offset + width) // 4 : 1]",
     ),
     (
-        "fault-raised-before-earlier-clash",
+        "first-token-guard-above-two",
         FROZEN,
-        "        fault = exc  #",
-        "        raise  #",
+        "if n_followers > 1 and",
+        "if n_followers > 2 and",
+    ),
+    ("leader-never-marked-seen", FROZEN, "        seen.add(leader)\n", ""),
+    (
+        "save-fc-unchecked",
+        FROZEN,
+        "        if len(followers) > cfg.fc:\n            raise",
+        "        if False:\n            raise",
+    ),
+    (
+        "save-overflow-passed-through",
+        FROZEN,
+        "except OverflowError as exc:",
+        "except ZeroDivisionError as exc:",
     ),
 ]
 
@@ -308,7 +322,13 @@ def suite_passes(mutant: tuple[str, str, str, str] | None) -> bool:
         return True
 
 
-def main() -> int:
+def main(names: list[str]) -> int:
+    known = [mutant[0] for mutant in MUTANTS]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        print(f"unknown mutants: {' '.join(unknown)}; valid names:", *known, sep="\n", file=sys.stderr)
+        return 2
+    chosen = [mutant for mutant in MUTANTS if not names or mutant[0] in names]
     problems = misplaced()
     if problems:
         print("\n".join(problems), file=sys.stderr)
@@ -319,7 +339,7 @@ def main() -> int:
         return 1
     print(f"unmutated suite passes ({time.perf_counter() - t0:.1f}s)", flush=True)
     survivors = []
-    for mutant in MUTANTS:
+    for mutant in chosen:
         t1 = time.perf_counter()
         survived = suite_passes(mutant)
         if survived:
@@ -327,9 +347,9 @@ def main() -> int:
         verdict = "SURVIVED" if survived else "killed"
         print(f"{verdict:<9}{mutant[0]} ({time.perf_counter() - t1:.1f}s)", flush=True)
     total = time.perf_counter() - t0
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed in {total:.0f}s")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed in {total:.0f}s")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

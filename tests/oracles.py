@@ -161,6 +161,52 @@ def cbft_bytes(table_map, ll: int, fl: int, fc: int) -> bytes:
     return out
 
 
+def reference_load(data: bytes) -> dict[tuple, tuple] | tuple[str, int]:
+    """CBFT bytes read field by field with ``int.from_bytes``, following the
+    format in ``frozen_table``'s module docstring.  Returns the entries as a
+    leader -> followers dict in file order, or, for damaged bytes, the
+    ``(message, offset)`` of the first fault in file order: the header, then
+    per entry its truncation, its follower count above fc, a repeated leader
+    and a repeated first token, then bytes after the last entry."""
+
+    def u32(at: int) -> int:
+        return int.from_bytes(data[at : at + 4], "little")
+
+    if len(data) < 28:
+        return "truncated header", len(data)
+    if data[:4] != b"CBFT":
+        return f"bad magic {data[:4]!r}", 0
+    if u32(4) != 1:
+        return f"unsupported format version {u32(4)}", 4
+    ll, fl, count, fc = u32(8), u32(12), int.from_bytes(data[16:24], "little"), u32(24)
+    for name, value in (("ll", ll), ("fl", fl), ("fc", fc)):
+        if value < 1:
+            return f"invalid table shape: {name} must be a positive integer, got {value}", 8
+    entries: dict[tuple, tuple] = {}
+    at = 28
+    for _ in range(count):
+        if at + 4 * (ll + 1) > len(data):
+            return "truncated entry", len(data)
+        leader = tuple(u32(at + 4 * i) for i in range(ll))
+        n = u32(at + 4 * ll)
+        if n > fc:
+            return f"follower count {n} exceeds fc={fc}", at
+        body = at + 4 * (ll + 1)
+        if body + 4 * fl * n > len(data):
+            return "truncated entry", len(data)
+        if leader in entries:
+            return f"duplicate leader {leader!r}", at
+        followers = tuple(tuple(u32(body + 4 * (fl * j + i)) for i in range(fl)) for j in range(n))
+        if len({follower[0] for follower in followers}) < n:
+            message = "lists two followers with the same first token; rebuild the table"
+            return f"leader {leader!r} {message}", at
+        entries[leader] = followers
+        at = body + 4 * fl * n
+    if at != len(data):
+        return "trailing bytes after last leader", at
+    return entries
+
+
 def brute_build_tree(
     context: Sequence[int],
     pending_len: int,

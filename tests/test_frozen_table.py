@@ -22,7 +22,13 @@ from ngramspec.frozen_table import (
 )
 
 from corpus import diverse_docs, flat, repetitive_docs
-from oracles import cbft_bytes, naive_frozen_map, naive_window_counts, ranked_window_map
+from oracles import (
+    cbft_bytes,
+    naive_frozen_map,
+    naive_window_counts,
+    ranked_window_map,
+    reference_load,
+)
 
 
 def empty_table(tcfg):
@@ -402,6 +408,30 @@ class TestSerialization:
             table.save(path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "fc, entries, match",
+        [
+            (1, {(1,): ((2, 3), (5, 4))}, r"leader \(1,\) has 2 followers, more than fc=1"),
+            (2, {(2**32,): ((2, 3),)}, r"leader \(4294967296,\): token ids must be in \[0, 2\*\*32\)"),
+            (2, {(1,): ((2, 3),), (5,): ((-1, 3),)}, r"leader \(5,\): token ids"),
+            (2, {(1,): ((2, 2**32),)}, r"leader \(1,\): token ids"),
+        ],
+        ids=["count-above-fc", "leader-id-2**32", "follower-id-minus-one", "follower-id-2**32"],
+    )
+    def test_save_rejects_counts_above_fc_and_ids_outside_u32(self, tmp_path, fc, entries, match):
+        # A follower count above fc would load as an error; an id outside
+        # u32 has no CBFT encoding.  Either is a ValueError naming the entry,
+        # raised before anything is written.
+        table = FrozenTable(config=CacheTableConfig(1, 2, 4, fc), entries=entries)
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match=match):
+            table.save(sink)
+        assert sink.getvalue() == b""
+        path = tmp_path / "t.cbft"
+        with pytest.raises(ValueError, match=match):
+            table.save(path)
+        assert not path.exists()
+
     def test_trailing_garbage_rejected(self):
         table = empty_table(CacheTableConfig(1, 1, 4, 4))
         sink = io.BytesIO()
@@ -505,3 +535,49 @@ def test_wide_ids_and_long_windows_match_naive_sorter(seed):
     assert loaded == table
     assert_shared(table)
     assert_shared(loaded)
+
+
+@given(data=st.data(), ll=st.integers(1, 3), fl=st.integers(1, 3), fc=st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_load_matches_the_reference_reader(data, ll, fl, fc):
+    """Random tables over ids 0..3, so first tokens often clash, with up to
+    three damages, so several faults can meet in one file: a repeated leader,
+    a bumped follower count, a header leader count off by one, a truncation
+    or appended bytes.  The load gives the reference reader's entries in
+    their order, or its first fault's message and offset."""
+    token = st.integers(0, 3)
+    entry = st.tuples(st.tuples(*[token] * ll), st.lists(st.tuples(*[token] * fl), max_size=fc))
+    entries = data.draw(st.lists(entry, max_size=5, unique_by=lambda e: e[0]))
+    kinds = st.sampled_from(["leader", "count", "header", "cut", "append"])
+    damages = data.draw(st.lists(kinds, max_size=3))
+    if "leader" in damages and len(entries) > 1:
+        pair = st.lists(st.integers(0, len(entries) - 1), min_size=2, max_size=2, unique=True)
+        i, j = sorted(data.draw(pair))
+        entries[j] = (entries[i][0], entries[j][1])
+    blob = bytearray(cbft_bytes(entries, ll, fl, fc))
+    counts, at = [], 28  # the offset of each entry's follower count
+    for _, followers in entries:
+        counts.append(at + 4 * ll)
+        at += 4 * (ll + 1 + fl * len(followers))
+    for damage in damages:
+        if damage == "count" and counts:
+            k = data.draw(st.sampled_from(counts))
+            if k + 4 <= len(blob):
+                blob[k : k + 4] = (int.from_bytes(blob[k : k + 4], "little") + 1).to_bytes(4, "little")
+        elif damage == "header" and len(blob) >= 24:
+            n = int.from_bytes(blob[16:24], "little") + data.draw(st.sampled_from([-1, 1]))
+            blob[16:24] = max(n, 0).to_bytes(8, "little")
+        elif damage == "cut":
+            del blob[data.draw(st.integers(0, len(blob))) :]
+        elif damage == "append":
+            blob += data.draw(st.binary(min_size=1, max_size=9))
+    blob = bytes(blob)
+    try:
+        got = list(FrozenTable.load(blob).entries.items())
+    except FrozenTableLoadError as exc:
+        got = (str(exc), exc.offset)
+    want = reference_load(blob)
+    if isinstance(want, dict):
+        assert got == list(want.items())
+    else:
+        assert got == (f"{want[0]} (at byte {want[1]})", want[1])
